@@ -269,7 +269,8 @@ def train(data, config):
     coefficients have no layer above).  The objective is recorded after
     every layer update; training stops at ``max_outer_iters`` or once the
     relative objective decrease over one outer iteration falls below
-    ``objective_tol``.
+    ``objective_tol``.  A failed bank update, a failed Newton solve and a
+    Newton solve that does not converge each raise ``TrainingError``.
     """
     if not isinstance(config, ModelConfig):
         raise ValueError("config must be a ModelConfig instance")
@@ -308,6 +309,13 @@ def train(data, config):
                     raise TrainingError(
                         f"iteration {outer}, layer {layer + 1}, coefficient update: {exc}"
                     ) from exc
+                if not result.converged:
+                    raise TrainingError(
+                        f"iteration {outer}, layer {layer + 1}, coefficient update: "
+                        f"projected Newton did not converge to grad_tol="
+                        f"{config.newton.grad_tol:g} within {config.newton.max_iters} "
+                        f"iterations"
+                    )
                 coeffs[layer] = result.coeffs
             trace.append(
                 (outer, layer + 1, float(_objective_terms(toep, transforms, coeffs, config)))

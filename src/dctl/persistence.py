@@ -141,10 +141,13 @@ def load_model(path):
         trace = [(int(i), int(l), float(v)) for i, l, v in meta["trace"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise ModelFileError(f"metadata blob has unexpected structure: {exc}") from exc
-    newton = raw_config.pop("newton", None)
-    if newton is not None:
-        raw_config["newton"] = NewtonSettings(**newton)
-    config = ModelConfig(**raw_config)
+    try:
+        newton = raw_config.pop("newton", None)
+        if newton is not None:
+            raw_config["newton"] = NewtonSettings(**newton)
+        config = ModelConfig(**raw_config)
+    except (TypeError, ValueError) as exc:
+        raise ModelFileError(f"metadata blob holds an invalid configuration: {exc}") from exc
     if config.num_layers != num_layers or config.num_kernels != k:
         raise ModelFileError("metadata disagrees with the binary dimension header")
     return TrainedModel(

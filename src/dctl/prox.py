@@ -11,7 +11,10 @@ subproblems the alternating trainer cycles through:
 * ``projected_newton_coeffs`` -- coefficient update for layers that are
   coupled to the layer above; decomposes into independent per-(sample,
   channel) strictly convex quadratics over the nonnegative orthant and
-  solves each with an active-set projected Newton method.
+  solves them with an active-set projected Newton method.  The blocks of
+  one channel share a Hessian banded with half-bandwidth K - 1, so each
+  Newton iteration solves every unconverged block of a channel at once
+  through one block-diagonal banded Cholesky solve.
 """
 
 from dataclasses import dataclass, field
@@ -267,55 +270,135 @@ def coeff_gradient(z, anchor, quad, beta, gamma2):
     )
 
 
-def _newton_block(z0, a, b, cmat, hess, beta, inv_g2, st):
-    """Minimize one strictly convex block over z >= 0 by projected Newton.
+def _conv_rows(rows, kernel, adjoint=False):
+    """``conv_same`` of every row of ``rows`` with ``kernel``, or its adjoint."""
+    n = rows.shape[1]
+    offset = (kernel.size - 1) // 2
+    out = np.zeros_like(rows)
+    for j, tap in enumerate(kernel):
+        # tap j sits on diagonal r - c = j - offset of conv_same_matrix
+        shift = j - offset if adjoint else offset - j
+        if shift >= 0:
+            out[:, : n - shift] += tap * rows[:, shift:]
+        else:
+            out[:, -shift:] += tap * rows[:, : n + shift]
+    return out
 
-    f(z) = inv_g2/2 ||z - z0||^2 + 1/2 ||z - a||^2 + 1/2 ||C z - b||^2
-           + beta * sum(z)
+
+def _hessian_bands(kernel, n, shift):
+    """C^T C + shift * Id for C = conv_same_matrix(kernel, n), in lower band storage.
+
+    Row d holds the d-th subdiagonal, bands[d, p] = H[p + d, p], and is zero
+    for p >= n - d.  H[p, p + d] sums kernel[j] * kernel[j - d] over the
+    taps j whose output row j + p - offset lies inside [0, n).
     """
+    k = kernel.size
+    offset = (k - 1) // 2
+    bands = np.zeros((k, n))
+    bands[0] = shift
+    for d in range(k):
+        for j in range(d, k):
+            bands[d, max(0, offset - j) : min(n - d, n + offset - j)] += kernel[j] * kernel[j - d]
+    return bands
 
-    def value(zv, czv):
+
+def _newton_direction(bands, grad, free):
+    """H_FF^{-1} g_F on the free coordinates and g_C on the clamped ones, per block.
+
+    The blocks sit end to end in one block-diagonal banded matrix; the zero
+    tail of each band row keeps bands from crossing a block boundary.
+    Clamped coordinates get identity rows and columns, which decouples
+    them, so one banded Cholesky solve covers every block.
+    """
+    count, n = grad.shape
+    flat_free = free.ravel()
+    ab = np.tile(bands, count)
+    ab[0, ~flat_free] = 1.0
+    for d in range(1, bands.shape[0]):
+        ab[d, :-d] *= flat_free[:-d] & flat_free[d:]
+    try:
+        direction = scipy.linalg.solveh_banded(
+            ab, grad.ravel(), overwrite_ab=True, lower=True, check_finite=False
+        )
+    except np.linalg.LinAlgError as exc:
+        raise NumericalConditioningError(
+            f"coefficient Newton system is not positive definite: {exc}"
+        ) from exc
+    return direction.reshape(count, n)
+
+
+def _newton_channel(z, anchor, below, above, kernel, beta, inv_g2, st):
+    """Minimize every block (row) of one channel over z >= 0, in place on ``z``.
+
+    Block m minimizes the strictly convex
+    f(z) = inv_g2/2 ||z - anchor_m||^2 + 1/2 ||z - below_m||^2
+           + 1/2 ||C z - above_m||^2 + beta * sum(z)
+    with C = conv_same_matrix(kernel, N).  All blocks share the Hessian, so
+    each iteration takes one Newton step for every unconverged block at
+    once, with an Armijo backtracking step size per block.  Returns
+    (converged, iterations): iterations is the most any block used.
+    """
+    bands = _hessian_bands(kernel, z.shape[1], 1.0 + inv_g2)
+
+    def sq(x):
+        return np.einsum("ij,ij->i", x, x)
+
+    def value(zs, cz, rows):
         return (
-            0.5 * inv_g2 * np.dot(zv - z0, zv - z0)
-            + 0.5 * np.dot(zv - a, zv - a)
-            + 0.5 * np.dot(czv - b, czv - b)
-            + beta * zv.sum()
+            0.5 * inv_g2 * sq(zs - anchor[rows])
+            + 0.5 * sq(zs - below[rows])
+            + 0.5 * sq(cz - above[rows])
+            + beta * zs.sum(axis=1)
         )
 
-    z = np.maximum(z0, 0.0)
-    cz = cmat @ z
-    f = value(z, cz)
-    if not np.isfinite(f):
-        raise NumericalConditioningError("coefficient block objective is not finite")
+    rows = np.arange(z.shape[0])
+    zs = z
+    cz = _conv_rows(zs, kernel)
+    f = value(zs, cz, rows)
+    converged, used = True, 0
     for it in range(st.max_iters):
-        grad = inv_g2 * (z - z0) + (z - a) + cmat.T @ (cz - b) + beta
-        free = (z > st.active_set_eps) | (grad < 0.0)
-        viol = np.abs(np.where(free, grad, 0.0)).max()
-        if viol <= st.grad_tol:
-            return z, True, it
-        direction = np.where(free, 0.0, grad)
-        idx = np.flatnonzero(free)
-        if idx.size:
-            sub = hess[np.ix_(idx, idx)]
-            direction[idx] = np.linalg.solve(sub, grad[idx])
-        step = 1.0
-        while True:
-            z_new = np.maximum(z - step * direction, 0.0)
-            cz_new = cmat @ z_new
-            f_new = value(z_new, cz_new)
-            if not np.isfinite(f_new):
+        residual = _conv_rows(cz - above[rows], kernel, adjoint=True)
+        grad = inv_g2 * (zs - anchor[rows]) + (zs - below[rows]) + residual + beta
+        free = (zs > st.active_set_eps) | (grad < 0.0)
+        # blocks that meet first-order optimality stop here; at it == 0
+        # this leaves already-optimal blocks untouched
+        keep = np.abs(np.where(free, grad, 0.0)).max(axis=1) > st.grad_tol
+        if not keep.all():
+            used = max(used, it)
+        rows, zs, cz, f, grad, free = (x[keep] for x in (rows, zs, cz, f, grad, free))
+        if not rows.size:
+            return converged, used
+        if it == 0 and not np.all(np.isfinite(f)):
+            raise NumericalConditioningError("coefficient block objective is not finite")
+        direction = _newton_direction(bands, grad, free)
+        step = np.ones(rows.size)
+        trial = np.arange(rows.size)
+        stalled = np.zeros(rows.size, dtype=bool)
+        new_z, new_cz, new_f = zs.copy(), cz.copy(), f.copy()
+        while trial.size:
+            zt = np.maximum(zs[trial] - step[trial, None] * direction[trial], 0.0)
+            czt = _conv_rows(zt, kernel)
+            ft = value(zt, czt, rows[trial])
+            if not np.all(np.isfinite(ft)):
                 raise NumericalConditioningError(
                     "coefficient line search produced a non-finite value"
                 )
-            decrease = float(np.dot(grad, z - z_new))
-            if f_new <= f - st.armijo_c * max(decrease, 0.0) and f_new <= f:
-                break
-            step *= st.backtrack_factor
-            if step < 1e-14:
-                # direction numerically exhausted; keep the current iterate
-                return z, False, it + 1
-        z, cz, f = z_new, cz_new, f_new
-    return z, False, st.max_iters
+            decrease = np.einsum("ij,ij->i", grad[trial], zs[trial] - zt)
+            ok = (ft <= f[trial] - st.armijo_c * np.maximum(decrease, 0.0)) & (ft <= f[trial])
+            done = trial[ok]
+            new_z[done], new_cz[done], new_f[done] = zt[ok], czt[ok], ft[ok]
+            trial = trial[~ok]
+            step[trial] *= st.backtrack_factor
+            # direction numerically exhausted: the block keeps its iterate
+            exhausted = step[trial] < 1e-14
+            if exhausted.any():
+                converged, used = False, max(used, it + 1)
+                stalled[trial[exhausted]] = True
+                trial = trial[~exhausted]
+        z[rows] = new_z
+        going = ~stalled
+        rows, zs, cz, f = rows[going], new_z[going], new_cz[going], new_f[going]
+    return False, st.max_iters
 
 
 def projected_newton_coeffs(z0, quad, beta, gamma2, settings=None):
@@ -323,12 +406,20 @@ def projected_newton_coeffs(z0, quad, beta, gamma2, settings=None):
 
     The coupled coefficient objective decomposes per sample m and channel k
     because the channel-wise convolution with bank_above never mixes
-    channels; each block shares the Hessian C_k^T C_k + (1 + 1/gamma2) Id.
+    channels; each block of channel k shares the Hessian
+    H_k = C_k^T C_k + (1 + 1/gamma2) Id, banded with half-bandwidth K - 1
+    and built once per channel from the kernel taps.  Per channel, every
+    unconverged block takes its projected Newton step together: the
+    blocks' free-coordinate systems sit in one block-diagonal banded matrix
+    (identity on clamped coordinates) solved by a single banded Cholesky
+    call, and the Armijo backtracking keeps a step size per block.
     Blocks whose start point already satisfies first-order optimality are
     left untouched.  Returns the updated (M, N, K) array plus a flag that
     is False when some block hit ``max_iters`` before reaching ``grad_tol``
-    (the best iterate is still returned; the line search never accepts an
-    increase, so the objective never exceeds its value at ``z0``).
+    or its line search ran out of step (the best iterate is still
+    returned; the line search never accepts an increase, so the objective
+    never exceeds its value at ``z0``), and the most iterations any block
+    used.
     """
     if not isinstance(quad, CoeffQuadratics):
         raise ValueError("quad must be a CoeffQuadratics instance")
@@ -336,27 +427,15 @@ def projected_newton_coeffs(z0, quad, beta, gamma2, settings=None):
     if not isinstance(st, NewtonSettings):
         raise ValueError("settings must be a NewtonSettings instance")
     z0, _ = _check_coeff_args(z0, z0, quad, beta, gamma2)
-    n_samples, n, k = z0.shape
     inv_g2 = 1.0 / gamma2
     out = np.maximum(z0, 0.0)
     converged = True
     iterations = 0
-    eye = np.eye(n)
-    for chan in range(k):
-        cmat = conv_same_matrix(quad.bank_above[:, chan], n)
-        hess = cmat.T @ cmat + (1.0 + inv_g2) * eye
-        zc = out[:, :, chan]
-        a = quad.below[:, :, chan]
-        b = quad.above[:, :, chan]
-        # batched first-order screen: skip blocks that are already optimal
-        grad = inv_g2 * (zc - z0[:, :, chan]) + (zc - a) + (zc @ cmat.T - b) @ cmat + beta
-        free = (zc > st.active_set_eps) | (grad < 0.0)
-        viol = np.abs(np.where(free, grad, 0.0)).max(axis=1)
-        for m in np.flatnonzero(viol > st.grad_tol):
-            z_new, ok, used = _newton_block(
-                z0[m, :, chan], a[m], b[m], cmat, hess, beta, inv_g2, st
-            )
-            out[m, :, chan] = z_new
-            converged = converged and ok
-            iterations = max(iterations, used)
+    for chan in range(z0.shape[2]):
+        ok, used = _newton_channel(
+            out[:, :, chan], z0[:, :, chan], quad.below[:, :, chan], quad.above[:, :, chan],
+            quad.bank_above[:, chan], beta, inv_g2, st,
+        )
+        converged = converged and ok
+        iterations = max(iterations, used)
     return NewtonResult(out, converged, iterations)

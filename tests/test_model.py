@@ -252,6 +252,15 @@ def test_train_error_names_iteration_layer_step():
             train(signals, config)
 
 
+def test_train_unconverged_newton_names_iteration_layer_step():
+    signals, _ = generate_synthetic(2, 5, 16, seed=4)
+    config = ModelConfig(num_layers=2, num_kernels=4, max_outer_iters=3, seed=4,
+                         newton=NewtonSettings(max_iters=1, grad_tol=1e-14))
+    with pytest.raises(TrainingError, match="iteration 1, layer 1, coefficient update: "
+                                            "projected Newton did not converge"):
+        train(signals, config)
+
+
 def test_train_validates_input():
     with pytest.raises(ValueError):
         train(np.zeros((2, 8)), {"num_layers": 1})

@@ -1,9 +1,14 @@
 """Binary model files: exact round trips and corruption rejection."""
 
+import json
+import struct
+import zlib
+
 import numpy as np
 import pytest
 
-from dctl.data import generate_synthetic
+from dctl.cli import cli
+from dctl.data import generate_synthetic, write_csv
 from dctl.model import ModelConfig, encode, train
 from dctl.persistence import (
     ModelFileChecksumError,
@@ -91,6 +96,39 @@ def test_trailing_garbage_rejected(tmp_path, trained):
     path.write_bytes(bytes(payload) + b"xx")
     with pytest.raises(ModelFileChecksumError, match="2 trailing bytes"):
         load_model(path)
+
+
+def with_metadata(payload, edit):
+    """The model file with ``edit`` applied to its JSON metadata and a fresh CRC."""
+    num_layers, k, _ = struct.unpack("<III", payload[5:17])
+    start = 17 + num_layers * k * k * 8
+    (blob_len,) = struct.unpack("<I", payload[start : start + 4])
+    meta = json.loads(payload[start + 4 : start + 4 + blob_len])
+    edit(meta)
+    blob = json.dumps(meta).encode("utf-8")
+    body = bytes(payload[:start]) + struct.pack("<I", len(blob)) + blob
+    return body + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF)
+
+
+BAD_CONFIGS = {
+    "unknown_key": lambda meta: meta["config"].update(surprise=1),
+    "newton_not_a_mapping": lambda meta: meta["config"].update(newton=5),
+    "mu_not_a_number": lambda meta: meta["config"].update(mu="x"),
+}
+
+
+@pytest.mark.parametrize("edit", BAD_CONFIGS.values(), ids=BAD_CONFIGS.keys())
+def test_bad_metadata_with_valid_checksum_is_model_file_error(tmp_path, trained, capsys, edit):
+    model, signals = trained
+    path, payload = saved_bytes(tmp_path, model)
+    path.write_bytes(with_metadata(payload, edit))
+    with pytest.raises(ModelFileError, match="invalid configuration"):
+        load_model(path)
+    data = tmp_path / "signals.csv"
+    write_csv(data, signals)
+    assert cli(["encode", str(data), "--model", str(path),
+                "--out", str(tmp_path / "features.csv")]) == 2
+    assert capsys.readouterr().err.startswith("error:")
 
 
 def test_error_hierarchy():

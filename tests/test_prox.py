@@ -16,9 +16,11 @@ from dctl.prox import (
     prox_nonneg_l1,
     update_transform,
 )
+from dctl.prox import _hessian_bands, _newton_direction
 from oracles import (
     coeff_objective_direct,
     coeff_pg_oracle,
+    conv_matrix_direct,
     fd_gradient,
     golden_section,
     grid_search_scalar_prox,
@@ -372,6 +374,74 @@ def test_projected_newton_first_order_optimality():
         interior = result.coeffs > NewtonSettings().active_set_eps
         assert np.all(np.abs(grad[interior]) <= tol)
         assert np.all(grad[~interior] >= -tol)
+
+
+def test_hessian_bands_match_dense_hessian():
+    rng = np.random.default_rng(40)
+    shapes = [(1, 1), (1, 5), (4, 4), (7, 7), (4, 9), (6, 13), (8, 8)]
+    shapes += [(int(k), int(rng.integers(k, 3 * k + 2))) for k in rng.integers(1, 9, size=12)]
+    for k, n in shapes:
+        kernel = rng.standard_normal(k)
+        shift = float(rng.uniform(1.0, 3.0))
+        bands = _hessian_bands(kernel, n, shift)
+        cmat = conv_matrix_direct(kernel, n)
+        dense = cmat.T @ cmat + shift * np.eye(n)
+        rebuilt = np.zeros((n, n))
+        for d in range(k):
+            idx = np.arange(n - d)
+            rebuilt[idx + d, idx] = rebuilt[idx, idx + d] = bands[d, : n - d]
+            assert not np.any(bands[d, n - d :])
+        assert np.allclose(rebuilt, dense, rtol=0.0, atol=1e-12), (k, n)
+
+
+def test_newton_direction_matches_dense_active_set_split():
+    # free coordinates get H_FF^{-1} g_F, clamped ones g_C, block by block
+    rng = np.random.default_rng(42)
+    for k, n in ((1, 5), (3, 9), (4, 4), (6, 11)):
+        kernel = rng.standard_normal(k)
+        hess = conv_matrix_direct(kernel, n).T @ conv_matrix_direct(kernel, n) + 1.5 * np.eye(n)
+        grad = rng.standard_normal((5, n))
+        free = rng.uniform(size=(5, n)) < 0.7
+        free[0], free[1] = True, False
+        direction = _newton_direction(_hessian_bands(kernel, n, 1.5), grad, free)
+        for g, f, d in zip(grad, free, direction):
+            expected = g.copy()
+            if f.any():
+                expected[f] = np.linalg.solve(hess[np.ix_(f, f)], g[f])
+            assert np.allclose(d, expected, rtol=1e-10, atol=1e-12), (k, n)
+
+
+def test_projected_newton_mixed_free_and_clamped_blocks():
+    # samples 0-1 pull every coordinate up (fully free blocks), samples 2-3
+    # push every coordinate to zero (fully clamped) and samples 4-5 mix signs
+    rng = np.random.default_rng(41)
+    m, n, k = 6, 12, 4
+    below = np.concatenate([
+        3.0 + rng.uniform(0.0, 1.0, (2, n, k)),
+        -3.0 - rng.uniform(0.0, 1.0, (2, n, k)),
+        2.0 * rng.standard_normal((2, n, k)),
+    ])
+    bank = rng.standard_normal((k, k)) / np.sqrt(k)
+    above = np.maximum(rng.standard_normal((m, n, k)), 0.0)
+    above[2:4] = 0.0
+    quad = CoeffQuadratics(below, bank, above)
+    z0 = np.maximum(rng.standard_normal((m, n, k)), 0.0)
+    beta, gamma2 = 0.1, 2.0
+    result = projected_newton_coeffs(z0, quad, beta, gamma2)
+    assert result.converged
+    z = result.coeffs
+    eps = NewtonSettings().active_set_eps
+    assert np.all(z[:2] > eps)
+    assert not np.any(z[2:4])
+    mixed = z[4:].transpose(0, 2, 1).reshape(-1, n)
+    assert np.any((mixed > eps).any(axis=1) & (mixed <= eps).any(axis=1))
+    z_ref = coeff_pg_oracle(z0, below, bank, above, beta, gamma2, iters=20_000)
+    assert np.max(np.abs(z - z_ref)) < 1e-6
+    grad = coeff_gradient(z, z0, quad, beta, gamma2)
+    tol = 10 * NewtonSettings().grad_tol
+    interior = z > eps
+    assert np.all(np.abs(grad[interior]) <= tol)
+    assert np.all(grad[~interior] >= -tol)
 
 
 def test_projected_newton_validates_arguments():
