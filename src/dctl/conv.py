@@ -11,10 +11,15 @@ at offset floor((K - 1) / 2).  For N >= K this coincides with
 
 with signal entries outside [0, N) read as zero.
 
+Every batched convolution contracts one primitive, the strided
+``toeplitz_windows`` view, with the kernels: ``toeplitz_stack`` is the
+windows of (M, N) signals, and ``channelwise_forward`` convolves an
+(M, N, K) stack channel by channel in O(M N K^2) time, O(M N K) memory.
+
 A *bank* is a (K, K) matrix whose K columns are kernels; a *block* is an
 (N, K) matrix holding one response column per channel.  Channels never
-mix: ``multichannel_forward`` convolves column k of a block with kernel
-k of a bank only.
+mix: ``multichannel_forward``, ``channelwise_forward`` on one block,
+convolves column k of a block with kernel k of a bank only.
 """
 
 import numpy as np
@@ -25,7 +30,9 @@ __all__ = [
     "conv_same_adjoint",
     "conv_same_matrix",
     "materialize_toeplitz",
+    "toeplitz_windows",
     "toeplitz_stack",
+    "channelwise_forward",
     "multichannel_forward",
 ]
 
@@ -77,12 +84,7 @@ def materialize_toeplitz(signal, kernel_size):
     Row n holds the reversed signal window centred (up to the even-length
     offset convention) at position n: X[n, j] = signal[n - j + offset].
     """
-    signal = _as_vector(signal, "signal")
-    k = int(kernel_size)
-    if k < 1:
-        raise ValueError("kernel_size must be a positive integer")
-    _check_lengths(signal.size, k)
-    return toeplitz_stack(signal[None, :], k)[0]
+    return toeplitz_stack(_as_vector(signal, "signal")[None, :], kernel_size)[0]
 
 
 def toeplitz_stack(signals, kernel_size):
@@ -96,10 +98,24 @@ def toeplitz_stack(signals, kernel_size):
     if k < 1:
         raise ValueError("kernel_size must be a positive integer")
     _check_lengths(arr.shape[1], k)
+    return toeplitz_windows(arr, k).copy()
+
+
+def toeplitz_windows(arr, k):
+    """Unchecked (M, N, ..., k) view of the windows of ``arr`` along axis 1.
+
+    out[m, n, ..., j] = arr[m, n - j + offset, ...], zero outside [0, N).
+    """
     offset = (k - 1) // 2
-    padded = np.pad(arr, ((0, 0), (k - 1 - offset, offset)))
-    windows = sliding_window_view(padded, k, axis=1)
-    return windows[..., ::-1].copy()
+    pad = [(0, 0)] * arr.ndim
+    pad[1] = (k - 1 - offset, offset)
+    windows = sliding_window_view(np.pad(arr, pad), k, axis=1)
+    return windows[..., ::-1]
+
+
+def channelwise_forward(stack, bank):
+    """Unchecked :func:`multichannel_forward` of every block of an (M, N, K) stack."""
+    return np.einsum("mnkj,jk->mnk", toeplitz_windows(stack, bank.shape[0]), bank)
 
 
 def conv_same_matrix(kernel, size):
@@ -144,7 +160,4 @@ def multichannel_forward(block, bank):
     if not (np.all(np.isfinite(block)) and np.all(np.isfinite(bank))):
         raise ValueError("block or bank contains non-finite values")
     _check_lengths(block.shape[0], bank.shape[0])
-    out = np.empty_like(block)
-    for k in range(bank.shape[0]):
-        out[:, k] = np.convolve(block[:, k], bank[:, k], mode="same")
-    return out
+    return channelwise_forward(block[None], bank)[0]

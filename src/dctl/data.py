@@ -228,15 +228,15 @@ def write_csv(path, features, labels=None, header=False):
         labels = np.asarray(labels)
         if labels.shape != (features.shape[0],):
             raise ValueError("labels length must match the number of rows")
+    # the bytes csv.writer gives: no cell needs quoting, rows end in "\r\n"
     with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
         if header:
             names = [f"f{i}" for i in range(features.shape[1])]
             if labels is not None:
                 names.append("label")
-            writer.writerow(names)
+            handle.write(",".join(names) + "\r\n")
         for i, row in enumerate(features):
-            cells = [repr(float(v)) for v in row]
+            cells = list(map(repr, row.tolist()))
             if labels is not None:
                 cells.append(str(int(labels[i])))
-            writer.writerow(cells)
+            handle.write(",".join(cells) + "\r\n")

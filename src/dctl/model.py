@@ -21,9 +21,10 @@ objective trace non-increasing.
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
-from .conv import conv_same_matrix, toeplitz_stack
+from .conv import channelwise_forward, toeplitz_stack, toeplitz_windows
+# unused, but bench/tracing.py's TRACE_POINTS look this name up on the module
+from .conv import conv_same_matrix  # noqa: F401
 from .prox import (
     CoeffQuadratics,
     NewtonSettings,
@@ -125,14 +126,11 @@ def _check_data(data, config):
     return arr
 
 
-def _forward_first(toep, bank):
-    # (M, N, J) Toeplitz views times (J, K) bank -> (M, N, K) responses
-    return np.einsum("mnj,jk->mnk", toep, bank)
-
-
-def _forward_deep(prev, bank):
-    mats = np.stack([conv_same_matrix(bank[:, k], prev.shape[1]) for k in range(bank.shape[1])])
-    return np.einsum("knj,mjk->mnk", mats, prev)
+def _forward(prev, bank, first_layer):
+    if first_layer:
+        # (M, N, J) Toeplitz views times (J, K) bank -> (M, N, K) responses
+        return np.einsum("mnj,jk->mnk", prev, bank)
+    return channelwise_forward(prev, bank)
 
 
 def layer_forward(prev, bank, first_layer):
@@ -140,7 +138,8 @@ def layer_forward(prev, bank, first_layer):
 
     For the first layer ``prev`` is the (M, N, K) stack of Toeplitz views
     of the raw signals; deeper layers take the (M, N, K) coefficients of
-    the layer below and convolve channel-wise.
+    the layer below and convolve channel-wise through their Toeplitz
+    windows; both cost O(M N K^2) time and O(M N K) memory.
     """
     prev = np.asarray(prev, dtype=np.float64)
     bank = np.asarray(bank, dtype=np.float64)
@@ -148,14 +147,14 @@ def layer_forward(prev, bank, first_layer):
         raise ValueError("prev must be (M, N, K) and bank (K, K)")
     if prev.shape[2] != bank.shape[0]:
         raise ValueError("channel count mismatch between prev and bank")
-    return _forward_first(prev, bank) if first_layer else _forward_deep(prev, bank)
+    return _forward(prev, bank, first_layer)
 
 
 def _objective_terms(toep, transforms, coeffs, config):
     fit = 0.0
-    prev = None
+    prev = toep
     for l, (bank, z) in enumerate(zip(transforms, coeffs)):
-        response = _forward_first(toep, bank) if l == 0 else _forward_deep(prev, bank)
+        response = _forward(prev, bank, l == 0)
         fit += 0.5 * np.sum((response - z) ** 2)
         prev = z
     reg = 0.0
@@ -217,28 +216,20 @@ def init_model(config, data, epsilon=0.1):
         transforms.append(bank)
     toep = toeplitz_stack(data, k)
     coeffs = []
-    prev = None
+    prev = toep
     for l, bank in enumerate(transforms):
-        response = _forward_first(toep, bank) if l == 0 else _forward_deep(prev, bank)
+        response = _forward(prev, bank, l == 0)
         prev = np.maximum(response, 0.0)
         coeffs.append(prev)
     return transforms, coeffs
-
-
-def _channel_toeplitz(prev, k):
-    # (M, N, K) coefficients -> (M, N, K, J) per-channel Toeplitz windows:
-    # out[m, n, c, j] = prev[m, n - j + offset, c]
-    offset = (k - 1) // 2
-    padded = np.pad(prev, ((0, 0), (k - 1 - offset, offset), (0, 0)))
-    windows = sliding_window_view(padded, k, axis=1)
-    return windows[..., ::-1]
 
 
 def _transform_inputs(layer, transforms, coeffs, toep, config):
     """Assemble the quadratic data for the bank update of one layer.
 
     Layer 1 has a single shared Gram matrix, so the subproblem is exact.
-    Deeper layers have one Gram matrix per channel; those are replaced by
+    Deeper layers have one Gram matrix per channel, contracted from the
+    ``toeplitz_windows`` view of the coefficients below; those are replaced by
     a quadratic with the summed (hence dominating) curvature that touches
     the true data-fit value and gradient at the current bank, so the
     proximal step still decreases the true objective.
@@ -251,7 +242,7 @@ def _transform_inputs(layer, transforms, coeffs, toep, config):
         return TransformUpdateInputs(gram, cross, anchor, config.mu, config.lam, config.gamma1)
     prev = coeffs[layer - 1]
     curr = coeffs[layer]
-    ctens = _channel_toeplitz(prev, k)
+    ctens = toeplitz_windows(prev, k)
     per_channel = np.einsum("mnkj,mnkl->kjl", ctens, ctens)
     response = np.einsum("mnkj,mnk->kj", ctens, curr).T
     gram = per_channel.sum(axis=0)
@@ -291,10 +282,8 @@ def train(data, config):
                 raise TrainingError(
                     f"iteration {outer}, layer {layer + 1}, transform update: {exc}"
                 ) from exc
-            if layer == 0:
-                below = _forward_first(toep, transforms[0])
-            else:
-                below = _forward_deep(coeffs[layer - 1], transforms[layer])
+            prev = toep if layer == 0 else coeffs[layer - 1]
+            below = _forward(prev, transforms[layer], layer == 0)
             if layer == n_layers - 1:
                 coeffs[layer] = np.maximum(
                     (inv_g2 * coeffs[layer] + below - config.beta) / (1.0 + inv_g2), 0.0
@@ -355,9 +344,9 @@ def encode(model, data, all_layers=False):
         )
     toep = toeplitz_stack(data, config.num_kernels)
     stacks = []
-    current = None
+    current = toep
     for l, bank in enumerate(model.transforms):
-        response = _forward_first(toep, bank) if l == 0 else _forward_deep(current, bank)
+        response = _forward(current, bank, l == 0)
         current = np.maximum(response - config.beta, 0.0)
         stacks.append(current)
     if all_layers:

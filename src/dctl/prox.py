@@ -23,7 +23,8 @@ from typing import NamedTuple
 import numpy as np
 import scipy.linalg
 
-from .conv import conv_same_matrix
+# unused, but bench/tracing.py's TRACE_POINTS look this name up on the module
+from .conv import conv_same_matrix  # noqa: F401
 
 __all__ = [
     "NumericalConditioningError",
@@ -223,10 +224,6 @@ class NewtonResult(NamedTuple):
     iterations: int
 
 
-def _bank_matrices(bank, n):
-    return np.stack([conv_same_matrix(bank[:, k], n) for k in range(bank.shape[1])])
-
-
 def _check_coeff_args(z, anchor, quad, beta, gamma2):
     z = np.asarray(z, dtype=np.float64)
     anchor = np.asarray(anchor, dtype=np.float64)
@@ -247,8 +244,7 @@ def coeff_objective(z, anchor, quad, beta, gamma2):
     bank_above channel-wise.
     """
     z, anchor = _check_coeff_args(z, anchor, quad, beta, gamma2)
-    mats = _bank_matrices(quad.bank_above, z.shape[1])
-    coupled = np.einsum("knj,mjk->mnk", mats, z)
+    coupled = _conv_rows(z, quad.bank_above)
     return float(
         0.5 / gamma2 * np.sum((z - anchor) ** 2)
         + 0.5 * np.sum((z - quad.below) ** 2)
@@ -260,20 +256,20 @@ def coeff_objective(z, anchor, quad, beta, gamma2):
 def coeff_gradient(z, anchor, quad, beta, gamma2):
     """Gradient of :func:`coeff_objective` with respect to ``z``."""
     z, anchor = _check_coeff_args(z, anchor, quad, beta, gamma2)
-    mats = _bank_matrices(quad.bank_above, z.shape[1])
-    residual = np.einsum("knj,mjk->mnk", mats, z) - quad.above
+    residual = _conv_rows(z, quad.bank_above) - quad.above
     return (
         (z - anchor) / gamma2
         + (z - quad.below)
-        + np.einsum("kjn,mjk->mnk", mats, residual)
+        + _conv_rows(residual, quad.bank_above, adjoint=True)
         + beta
     )
 
 
 def _conv_rows(rows, kernel, adjoint=False):
-    """``conv_same`` of every row of ``rows`` with ``kernel``, or its adjoint."""
+    """``conv_same`` along axis 1 of ``rows`` with ``kernel``, or its adjoint;
+    a (K, C) bank convolves channel c of (M, N, C) rows with column c."""
     n = rows.shape[1]
-    offset = (kernel.size - 1) // 2
+    offset = (len(kernel) - 1) // 2
     out = np.zeros_like(rows)
     for j, tap in enumerate(kernel):
         # tap j sits on diagonal r - c = j - offset of conv_same_matrix

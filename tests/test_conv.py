@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from dctl.conv import (
+    channelwise_forward,
     conv_same,
     conv_same_adjoint,
     conv_same_matrix,
@@ -11,6 +12,7 @@ from dctl.conv import (
     multichannel_forward,
     toeplitz_stack,
 )
+from dctl.model import ModelConfig, _transform_inputs
 from oracles import conv_direct
 
 
@@ -200,3 +202,66 @@ def test_multichannel_rejects_mismatch():
         multichannel_forward(np.zeros(8), np.zeros((2, 2)))
     with pytest.raises(ValueError):
         multichannel_forward(np.full((8, 2), np.nan), np.zeros((2, 2)))
+
+
+# ------------------------------------------------------------ window primitive
+
+
+def test_channelwise_forward_matches_direct_convolution():
+    rng = np.random.default_rng(12)
+    # K=1, K=N and even K (the offset case) included
+    for m, n, k in ((1, 5, 1), (3, 6, 6), (2, 7, 7), (4, 9, 2), (2, 11, 4), (3, 10, 5)):
+        stack = rng.standard_normal((m, n, k))
+        bank = rng.standard_normal((k, k))
+        out = channelwise_forward(stack, bank)
+        assert out.shape == (m, n, k)
+        for i in range(m):
+            for c in range(k):
+                expected = conv_direct(stack[i, :, c], bank[:, c])
+                assert np.max(np.abs(out[i, :, c] - expected)) < 1e-12
+
+
+def _dense_windows(signal, k):
+    # column j is the signal convolved with the unit impulse at tap j
+    eye = np.eye(k)
+    return np.stack([conv_same_matrix(eye[j], signal.size) @ signal for j in range(k)], axis=1)
+
+
+def test_toeplitz_stack_matches_dense_reference():
+    rng = np.random.default_rng(13)
+    for n, k in ((6, 1), (6, 6), (9, 4), (12, 5)):
+        signals = rng.standard_normal((3, n))
+        stack = toeplitz_stack(signals, k)
+        for m in range(3):
+            assert np.max(np.abs(stack[m] - _dense_windows(signals[m], k))) < 1e-12
+
+
+def test_transform_inputs_match_dense_reference():
+    rng = np.random.default_rng(14)
+    for m, n, k in ((3, 8, 2), (2, 9, 3), (4, 6, 6)):
+        config = ModelConfig(num_layers=2, num_kernels=k)
+        data = rng.standard_normal((m, n))
+        transforms = [rng.standard_normal((k, k)) for _ in range(2)]
+        coeffs = [np.abs(rng.standard_normal((m, n, k))) for _ in range(2)]
+        toep = toeplitz_stack(data, k)
+        first = _transform_inputs(0, transforms, coeffs, toep, config)
+        views = [_dense_windows(data[i], k) for i in range(m)]
+        gram = sum(v.T @ v for v in views)
+        cross = sum(v.T @ coeffs[0][i] for i, v in enumerate(views))
+        assert np.max(np.abs(first.gram - gram)) < 1e-12
+        assert np.max(np.abs(first.cross - cross)) < 1e-12
+        # deeper layer: per-channel Gram matrices G_c, cross column c is
+        # gram @ a_c - G_c @ a_c + sum_m X_mc^T z_mc for anchor column a_c
+        deep = _transform_inputs(1, transforms, coeffs, toep, config)
+        anchor = transforms[1]
+        gram = np.zeros((k, k))
+        cross = np.zeros((k, k))
+        for c in range(k):
+            views = [_dense_windows(coeffs[0][i, :, c], k) for i in range(m)]
+            per_channel = sum(v.T @ v for v in views)
+            gram += per_channel
+            cross[:, c] = sum(v.T @ coeffs[1][i, :, c] for i, v in enumerate(views))
+            cross[:, c] -= per_channel @ anchor[:, c]
+        cross += gram @ anchor
+        assert np.max(np.abs(deep.gram - gram)) < 1e-12
+        assert np.max(np.abs(deep.cross - cross)) < 1e-12

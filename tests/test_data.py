@@ -1,5 +1,7 @@
 """Dataset parsing, splitting, normalization, synthesis, CSV writing."""
 
+import csv
+
 import numpy as np
 import pytest
 
@@ -260,6 +262,28 @@ def test_write_csv_header_and_labels(tmp_path):
     assert lines[0] == "f0,f1,label"
     assert lines[1] == "1.5,2.5,1"
     assert lines[2] == "3.5,4.5,0"
+
+
+def test_write_csv_bytes_match_csv_writer(tmp_path):
+    features = np.array([
+        [-0.0, 5e-324, 1e-300, 1e300],
+        [0.1, 3.0, -2.5e-8, 123456789.125],
+        [np.nextafter(1.0, 2.0), -1e-310, 0.0, -7.0],
+    ])
+    labels = np.array([0, 2**62, 9007199254740993], dtype=np.int64)
+    for with_labels in (False, True):
+        for header in (False, True):
+            reference = tmp_path / "reference.csv"
+            with open(reference, "w", newline="") as handle:
+                writer = csv.writer(handle)
+                if header:
+                    writer.writerow([f"f{i}" for i in range(4)] + ["label"] * with_labels)
+                for i, row in enumerate(features):
+                    writer.writerow([repr(float(v)) for v in row]
+                                    + [str(int(labels[i]))] * with_labels)
+            path = tmp_path / "out.csv"
+            write_csv(path, features, labels if with_labels else None, header=header)
+            assert path.read_bytes() == reference.read_bytes()
 
 
 def test_write_csv_validation(tmp_path):

@@ -1,5 +1,6 @@
 """Model objective, alternating trainer, initialization and encoder."""
 
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -363,6 +364,21 @@ def test_encode_deterministic_and_shapes():
     assert len(stacks) == 2
     assert all(stack.shape == (8, 16, 4) for stack in stacks)
     assert np.array_equal(stacks[-1].reshape(8, -1), first)
+
+
+def test_long_signals_train_and_encode_in_linear_memory():
+    # a dense (K, N, N) stack of convolution matrices would take 1 GiB here
+    signals, _ = generate_synthetic(2, 2, 4096, seed=11)
+    config = ModelConfig(num_layers=2, num_kernels=8, max_outer_iters=1, seed=11)
+    tracemalloc.start()
+    try:
+        model = train(signals, config)
+        features = encode(model, signals)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert features.shape == (4, 4096 * 8)
+    assert peak < 64 * 2**20
 
 
 def test_encode_rejects_wrong_length_and_type():
