@@ -8,6 +8,7 @@ name the offending row and column, 1-based.
 
 import csv
 import math
+import os
 from typing import NamedTuple
 
 import numpy as np
@@ -47,27 +48,35 @@ def _parse_csv(path):
         for line_no, row in enumerate(csv.reader(handle), start=1):
             if not row or all(not cell.strip() for cell in row):
                 continue
-            values = []
-            for col_no, cell in enumerate(row, start=1):
-                try:
-                    value = float(cell)
-                except ValueError:
-                    # tolerate a single leading header line of non-numeric names
-                    if not rows and not header_skipped and col_no == 1:
-                        header_skipped = True
-                        values = None
-                        break
-                    raise DatasetFormatError(
-                        f"{path}: row {line_no}, column {col_no}: "
-                        f"could not parse {cell.strip()!r} as a number"
-                    ) from None
-                if not math.isfinite(value):
-                    raise DatasetFormatError(
-                        f"{path}: row {line_no}, column {col_no}: non-finite value"
-                    )
-                values.append(value)
-            if values is None:
-                continue
+            try:
+                # numpy converts each str with float(), so the bits match
+                values = np.array(row, dtype=np.float64)
+                clean = bool(np.isfinite(values).all())
+            except ValueError:
+                clean = False
+            if not clean:
+                # cell by cell: skip a header, or name the first bad cell
+                values = []
+                for col_no, cell in enumerate(row, start=1):
+                    try:
+                        value = float(cell)
+                    except ValueError:
+                        # tolerate a single leading header line of non-numeric names
+                        if not rows and not header_skipped and col_no == 1:
+                            header_skipped = True
+                            values = None
+                            break
+                        raise DatasetFormatError(
+                            f"{path}: row {line_no}, column {col_no}: "
+                            f"could not parse {cell.strip()!r} as a number"
+                        ) from None
+                    if not math.isfinite(value):
+                        raise DatasetFormatError(
+                            f"{path}: row {line_no}, column {col_no}: non-finite value"
+                        )
+                    values.append(value)
+                if values is None:
+                    continue
             if width is None:
                 width = len(values)
             elif len(values) != width:
@@ -77,13 +86,18 @@ def _parse_csv(path):
             rows.append(values)
     if not rows:
         raise DatasetFormatError(f"{path}: no data rows")
-    return np.asarray(rows, dtype=np.float64)
+    return np.stack(rows)
 
 
 def _parse_raw(path, cols):
     if cols is None or int(cols) < 1:
         raise DatasetFormatError("raw format needs a positive column count")
     cols = int(cols)
+    size = os.path.getsize(path)
+    if size % 8:
+        raise DatasetFormatError(
+            f"{path}: {size} bytes is not a whole number of 8-byte float64 values"
+        )
     flat = np.fromfile(path, dtype="<f8")
     if flat.size == 0:
         raise DatasetFormatError(f"{path}: no data")
@@ -102,7 +116,22 @@ def _parse_raw(path, cols):
 
 
 def load_matrix(path, fmt="csv", cols=None):
-    """Parse a dataset file into an (M, N) float64 matrix."""
+    """Parse a dataset file into an (M, N) float64 matrix.
+
+    CSV: ``csv.reader`` splits the records and each row is converted with
+    one ``np.array(row, dtype=np.float64)`` call, which applies Python's
+    ``float()`` to every cell, so quoted cells, surrounding whitespace,
+    ``1_000`` and Unicode digits parse as ``float()`` parses them.  Blank
+    records are skipped but still counted.  A first row whose first cell
+    does not parse is taken as a header.  Any other row that fails to
+    parse, or holds a non-finite value, is re-read cell by cell so the
+    error names its record and column; a row of another width is an error
+    too.  The cost is one numpy call per row, and the peak memory is
+    about twice the returned array.
+
+    Raw: packed little-endian float64 in rows of ``cols`` values; a file
+    whose size is not a whole number of values is an error.
+    """
     if fmt == "csv":
         return _parse_csv(path)
     if fmt == "raw":

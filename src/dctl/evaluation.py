@@ -8,6 +8,7 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import eigh
 from scipy.spatial.distance import cdist
 
 __all__ = [
@@ -157,14 +158,35 @@ def _seed_kmeanspp(x, n_clusters, rng):
     return x[chosen].copy()
 
 
+def _pca_basis(centered, rank):
+    """Leading principal directions of centered rows, as orthonormal rows.
+
+    The top ``rank`` eigenvectors of the smaller Gram matrix: XᵀX when
+    the rows are at least as many as the columns, otherwise XXᵀ mapped
+    back to feature space and normalized.  Directions whose eigenvalue is
+    zero (to round-off) are dropped, since every score along them is zero,
+    so fewer than ``rank`` rows may come back.
+    """
+    m, d = centered.shape
+    small = min(m, d)
+    rank = min(rank, small)
+    gram = centered.T @ centered if d <= m else centered @ centered.T
+    evals, evecs = eigh(gram, subset_by_index=(small - rank, small - 1),
+                        overwrite_a=True, check_finite=False)
+    evals, evecs = evals[::-1], evecs[:, ::-1]
+    evecs = evecs[:, evals > evals[0] * max(m, d) * np.finfo(np.float64).eps]
+    if d > m:
+        evecs = centered.T @ evecs
+        evecs /= np.linalg.norm(evecs, axis=0)
+    return evecs.T
+
+
 def _seed_pca(x, n_clusters, rng):
     if n_clusters == 1:
         return _seed_kmeanspp(x, 1, rng)
     mean = x.mean(axis=0)
     centered = x - mean
-    _, _, vh = np.linalg.svd(centered, full_matrices=False)
-    rank = min(n_clusters - 1, vh.shape[0])
-    basis = vh[:rank]
+    basis = _pca_basis(centered, n_clusters - 1)
     scores = centered @ basis.T
     seeds = _seed_kmeanspp(scores, n_clusters, rng)
     return mean + seeds @ basis
@@ -176,8 +198,12 @@ def kmeans(features, n_clusters, init="kmeanspp", seed=0, max_iters=300, tol=1e-
     init is one of "kmeanspp" (distance-squared weighted seeding),
     "random" (distinct data rows) or "pca" (kmeans++ seeding inside the
     span of the first n_clusters - 1 principal directions, centroids
-    lifted back).  A cluster that empties is re-seeded at the point
-    farthest from its assigned centroid (deterministic).  Iterates until
+    lifted back).  The principal directions are the top eigenvectors of
+    the smaller Gram matrix of the centered features, taken with
+    ``scipy.linalg.eigh(subset_by_index=...)`` instead of a full SVD;
+    directions with a zero eigenvalue are dropped.  A cluster that
+    empties is re-seeded at the point farthest from its assigned centroid
+    (deterministic).  Iterates until
     the largest centroid shift drops below ``tol`` or ``max_iters``
     passes; the recorded inertia trace never increases.
     """

@@ -321,3 +321,17 @@ def make_blobs(per_cluster, centers, sigma, seed=0):
         points.append(center + sigma * rng.standard_normal((per_cluster, centers.shape[1])))
         labels.append(np.full(per_cluster, i, dtype=np.int64))
     return np.vstack(points), np.concatenate(labels)
+
+
+def pca_seeds_svd(x, n_clusters, rng, seed_scores):
+    """PCA k-means seeds from a full thin SVD of the centered rows.
+
+    Keeps the first n_clusters - 1 right singular vectors, zero singular
+    values included, seeds inside their span with ``seed_scores`` and
+    lifts the seeds back to feature space.
+    """
+    mean = x.mean(axis=0)
+    centered = x - mean
+    _, _, vh = np.linalg.svd(centered, full_matrices=False)
+    basis = vh[:n_clusters - 1]
+    return mean + seed_scores(centered @ basis.T, n_clusters, rng) @ basis

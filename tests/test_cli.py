@@ -162,6 +162,16 @@ def test_corrupt_model_file_is_runtime_error(tmp_path, pipeline, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+def test_raw_file_with_a_trailing_partial_value_is_runtime_error(tmp_path, pipeline, capsys):
+    raw = tmp_path / "signals.raw"
+    raw.write_bytes(np.zeros(2 * 16, dtype="<f8").tobytes() + b"\x00\x01\x02")
+    assert cli(["encode", str(raw), "--format", "raw", "--cols", "16",
+                "--model", str(pipeline["model"]), "--out", str(tmp_path / "e.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "259 bytes" in err
+
+
 def test_classify_needs_labels(tmp_path, capsys):
     rng = np.random.default_rng(34)
     path = tmp_path / "plain.csv"

@@ -1,6 +1,7 @@
 """Dataset parsing, splitting, normalization, synthesis, CSV writing."""
 
 import csv
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -76,6 +77,86 @@ def test_csv_empty_and_header_only_files_rejected(tmp_path):
         load_matrix(path)
 
 
+def test_csv_quoted_cells_parse_as_numbers(tmp_path):
+    path = tmp_path / "quoted.csv"
+    path.write_text('"1.5","2"\n"-3e2",4\n')
+    assert np.array_equal(load_matrix(path), [[1.5, 2.0], [-300.0, 4.0]])
+
+
+def test_csv_underscores_and_surrounding_whitespace_are_accepted(tmp_path):
+    # the cells go through Python's float(), which allows both
+    path = tmp_path / "loose.csv"
+    path.write_text("1_000, 2.5 ,\t3\n4,5_0.5,6 \n")
+    assert np.array_equal(load_matrix(path), [[1000.0, 2.5, 3.0], [4.0, 50.5, 6.0]])
+
+
+def test_csv_crlf_line_endings(tmp_path):
+    path = tmp_path / "crlf.csv"
+    path.write_bytes(b"f0,f1\r\n1.25,2\r\n3,4.5\r\n")
+    assert np.array_equal(load_matrix(path), [[1.25, 2.0], [3.0, 4.5]])
+
+
+def test_csv_blank_lines_are_skipped_but_counted(tmp_path):
+    path = tmp_path / "gaps.csv"
+    path.write_text("1,2\n\n3,4\n , \n5,6\n")
+    assert np.array_equal(load_matrix(path), [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
+    path.write_text("1,2\n\n3,4\n\n5,x\n")
+    with pytest.raises(DatasetFormatError, match="row 5, column 2: could not parse 'x'"):
+        load_matrix(path)
+
+
+def test_csv_header_is_a_first_row_whose_first_cell_fails(tmp_path):
+    path = tmp_path / "hdr.csv"
+    path.write_text("\nname,1\n1,2\n")
+    assert np.array_equal(load_matrix(path), [[1.0, 2.0]])
+    path.write_text("1,name\n1,2\n")
+    with pytest.raises(DatasetFormatError, match="row 1, column 2: could not parse 'name'"):
+        load_matrix(path)
+    path.write_text("a,b\nc,d\n1,2\n")
+    with pytest.raises(DatasetFormatError, match="row 2, column 1: could not parse 'c'"):
+        load_matrix(path)
+    path.write_text("1,2\nname,3\n")
+    with pytest.raises(DatasetFormatError, match="row 2, column 1: could not parse 'name'"):
+        load_matrix(path)
+
+
+def test_csv_first_bad_cell_in_a_row_is_reported(tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_text("1,2,3,4\n5,inf,7,abc\n")
+    with pytest.raises(DatasetFormatError, match="row 2, column 2: non-finite value"):
+        load_matrix(path)
+    path.write_text("1,2,3,4\n5,abc,7,nan\n")
+    with pytest.raises(DatasetFormatError, match="row 2, column 2: could not parse 'abc'"):
+        load_matrix(path)
+    # a bad cell is reported before a width error in the same row
+    path.write_text("1,2,3,4\n5,1e999,7\n")
+    with pytest.raises(DatasetFormatError, match="row 2, column 2: non-finite value"):
+        load_matrix(path)
+
+
+def test_csv_width_error_after_good_rows(tmp_path):
+    path = tmp_path / "wide.csv"
+    path.write_text("1,2\n3,4\n5,6,7\n8,9\n")
+    with pytest.raises(DatasetFormatError, match="row 3: expected 2 columns, found 3"):
+        load_matrix(path)
+
+
+def test_csv_load_peaks_below_three_times_the_result(tmp_path):
+    rng = np.random.default_rng(24)
+    features = rng.standard_normal((500, 1024))
+    path = tmp_path / "wide.csv"
+    write_csv(path, features, labels=rng.integers(0, 4, size=500), header=True)
+    tracemalloc.start()
+    try:
+        loaded = load_matrix(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert loaded.shape == (500, 1025)
+    assert np.array_equal(loaded[:, :-1], features)
+    assert peak < 3 * loaded.nbytes
+
+
 def test_unknown_format_rejected(tmp_path):
     path = tmp_path / "data.csv"
     path.write_text("1,2\n")
@@ -105,6 +186,13 @@ def test_raw_requires_cols_and_divisibility(tmp_path):
     path.write_bytes(b"")
     with pytest.raises(DatasetFormatError, match="no data"):
         load_matrix(path, fmt="raw", cols=3)
+
+
+def test_raw_trailing_partial_value_is_rejected(tmp_path):
+    path = tmp_path / "data.raw"
+    path.write_bytes(np.arange(4, dtype="<f8").tobytes() + b"\x00\x01\x02")
+    with pytest.raises(DatasetFormatError, match="35 bytes"):
+        load_matrix(path, fmt="raw", cols=2)
 
 
 def test_raw_non_finite_rejected(tmp_path):

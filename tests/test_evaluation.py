@@ -7,6 +7,9 @@ import pytest
 
 from dctl.evaluation import (
     KMEANS_INITS,
+    _pca_basis,
+    _seed_kmeanspp,
+    _seed_pca,
     accuracy,
     adjusted_rand_index,
     kmeans,
@@ -14,7 +17,7 @@ from dctl.evaluation import (
     nearest_centroid_classify,
     timed,
 )
-from oracles import ari_bruteforce, make_blobs
+from oracles import ari_bruteforce, make_blobs, pca_seeds_svd
 
 
 def separated_blobs(seed=0, per_cluster=15, sigma=0.1):
@@ -210,6 +213,70 @@ def test_kmeans_seeded_determinism():
     assert np.array_equal(first.assignments, second.assignments)
     assert np.array_equal(first.centroids, second.centroids)
     assert first.inertia == second.inertia
+
+
+def _pca_inputs():
+    rng = np.random.default_rng(17)
+    tall = rng.standard_normal((60, 8)) * np.linspace(3.0, 0.5, 8)
+    wide = rng.standard_normal((12, 40)) * np.linspace(3.0, 0.5, 40)
+    deficient = rng.standard_normal((30, 3)) @ rng.standard_normal((3, 10))
+    deficient[10:20] = deficient[:10]  # duplicate rows
+    deficient[:, [2, 7]] = 5.0  # constant columns
+    wide_deficient = rng.standard_normal((9, 2)) @ rng.standard_normal((2, 30))
+    wide_deficient[5:] = wide_deficient[:4]
+    wide_deficient[:, 0] = -1.5
+    return {
+        "tall": (tall, 4, 3),
+        "wide": (wide, 5, 4),
+        "rank-deficient": (deficient, 3, 2),
+        "rank-deficient-short": (deficient, 6, 3),
+        "wide-rank-deficient": (wide_deficient, 4, 2),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_pca_inputs()))
+def test_pca_basis_spans_top_singular_subspace(case):
+    x, n_clusters, kept = _pca_inputs()[case]
+    centered = x - x.mean(axis=0)
+    basis = _pca_basis(centered, n_clusters - 1)
+    assert basis.shape == (kept, x.shape[1])
+    assert np.allclose(basis @ basis.T, np.eye(kept), rtol=0.0, atol=1e-12)
+    _, _, vh = np.linalg.svd(centered, full_matrices=False)
+    top = vh[:kept]
+    assert np.linalg.norm(basis.T @ basis - top.T @ top, 2) <= 1e-10
+
+
+@pytest.mark.parametrize("case", sorted(_pca_inputs()))
+def test_pca_seeds_match_full_svd_seeding(case):
+    x, n_clusters, _ = _pca_inputs()[case]
+    for seed in range(5):
+        seeds = _seed_pca(x, n_clusters, np.random.default_rng(seed))
+        reference = pca_seeds_svd(x, n_clusters, np.random.default_rng(seed),
+                                  _seed_kmeanspp)
+        assert np.allclose(seeds, reference, rtol=0.0, atol=1e-10)
+
+
+# assignments of kmeans(init="pca") from full-SVD seeding, per (blob seed, kmeans seed)
+PCA_BLOB_ASSIGNMENTS = {
+    (1, 0): "222222222221222102221111111111111121111102000002000002000000",
+    (1, 1): "222222222222222012220000000000000020000012111112111112111111",
+    (2, 0): "221222222222212222221111011111111211110100000000000000102000",
+    (2, 1): "220222222222202222220000100000000200001011111111111111012111",
+    (3, 0): "211101111101121111112222222222121212222200002001000000000001",
+    (3, 1): "022212222222202222220000000000222020000011112112111111111112",
+    (4, 0): "121110100111111101112222222222222222022100000000000000000001",
+    (4, 1): "202221212222020222020000000000000000100011112211111111111112",
+    (5, 0): "111101011111111111112122222222222222221200000000000000000000",
+    (5, 1): "222212122222222222220200000000000000002011111111111112111111",
+}
+
+
+@pytest.mark.parametrize("blob_seed, seed", sorted(PCA_BLOB_ASSIGNMENTS))
+def test_kmeans_pca_assignments_on_overlapping_blobs(blob_seed, seed):
+    points, _ = separated_blobs(seed=blob_seed, per_cluster=20, sigma=4.0)
+    result = kmeans(points, n_clusters=3, init="pca", seed=seed)
+    expected = PCA_BLOB_ASSIGNMENTS[blob_seed, seed]
+    assert "".join(map(str, result.assignments)) == expected
 
 
 def test_kmeans_argument_validation():
