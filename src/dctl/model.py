@@ -138,8 +138,8 @@ def layer_forward(prev, bank, first_layer):
 
     For the first layer ``prev`` is the (M, N, K) stack of Toeplitz views
     of the raw signals; deeper layers take the (M, N, K) coefficients of
-    the layer below and convolve channel-wise through their Toeplitz
-    windows; both cost O(M N K^2) time and O(M N K) memory.
+    the layer below and convolve them channel-wise with the compiled tap
+    kernel; both cost O(M N K^2) time and O(M N K) memory.
     """
     prev = np.asarray(prev, dtype=np.float64)
     bank = np.asarray(bank, dtype=np.float64)
@@ -150,21 +150,40 @@ def layer_forward(prev, bank, first_layer):
     return _forward(prev, bank, first_layer)
 
 
+def _fit(response, z):
+    return 0.5 * np.sum((response - z) ** 2)
+
+
+def _bank_reg(bank, config):
+    """mu ||T||_F^2 - lam * sum_i log s_i(T), or +inf once the bank lost rank."""
+    svals = np.linalg.svd(bank, compute_uv=False)
+    if svals.min() <= 0.0:
+        return np.inf
+    return config.mu * np.sum(bank * bank) - config.lam * np.sum(np.log(svals))
+
+
+def _layer_terms(toep, transforms, coeffs, config):
+    """Per-layer objective terms: data fits, bank regularizers, unscaled l1 sums."""
+    prevs = [toep] + list(coeffs[:-1])
+    fits = [
+        _fit(_forward(prev, bank, l == 0), z)
+        for l, (prev, bank, z) in enumerate(zip(prevs, transforms, coeffs))
+    ]
+    regs = [_bank_reg(bank, config) for bank in transforms]
+    l1s = [float(np.sum(np.abs(z))) for z in coeffs]
+    return fits, regs, l1s
+
+
+def _objective_sum(fits, regs, l1s, beta):
+    """Joint objective from per-layer terms, always summed in layer order, so
+    the same terms give the same bits however they were cached."""
+    if np.inf in regs:
+        return np.inf
+    return sum(fits) + sum(regs) + beta * sum(l1s)
+
+
 def _objective_terms(toep, transforms, coeffs, config):
-    fit = 0.0
-    prev = toep
-    for l, (bank, z) in enumerate(zip(transforms, coeffs)):
-        response = _forward(prev, bank, l == 0)
-        fit += 0.5 * np.sum((response - z) ** 2)
-        prev = z
-    reg = 0.0
-    for bank in transforms:
-        svals = np.linalg.svd(bank, compute_uv=False)
-        if svals.min() <= 0.0:
-            return np.inf
-        reg += config.mu * np.sum(bank * bank) - config.lam * np.sum(np.log(svals))
-    sparsity = config.beta * sum(float(np.sum(np.abs(z))) for z in coeffs)
-    return fit + reg + sparsity
+    return _objective_sum(*_layer_terms(toep, transforms, coeffs, config), config.beta)
 
 
 def objective(transforms, coeffs, data, config):
@@ -228,8 +247,9 @@ def _transform_inputs(layer, transforms, coeffs, toep, config):
     """Assemble the quadratic data for the bank update of one layer.
 
     Layer 1 has a single shared Gram matrix, so the subproblem is exact.
-    Deeper layers have one Gram matrix per channel, contracted from the
-    ``toeplitz_windows`` view of the coefficients below; those are replaced by
+    Deeper layers have one Gram matrix per channel, a BLAS product of one
+    channel's contiguous copy of the ``toeplitz_windows`` of the
+    coefficients below at a time (O(M N K) memory); those are replaced by
     a quadratic with the summed (hence dominating) curvature that touches
     the true data-fit value and gradient at the current bank, so the
     proximal step still decreases the true objective.
@@ -242,13 +262,36 @@ def _transform_inputs(layer, transforms, coeffs, toep, config):
         return TransformUpdateInputs(gram, cross, anchor, config.mu, config.lam, config.gamma1)
     prev = coeffs[layer - 1]
     curr = coeffs[layer]
-    ctens = toeplitz_windows(prev, k)
-    per_channel = np.einsum("mnkj,mnkl->kjl", ctens, ctens)
-    response = np.einsum("mnkj,mnk->kj", ctens, curr).T
-    gram = per_channel.sum(axis=0)
-    anchored = np.einsum("kjl,lk->jk", per_channel, anchor)
+    m, n, _ = prev.shape
+    gram = np.zeros((k, k))
+    anchored = np.empty((k, k))
+    response = np.empty((k, k))
+    for c in range(k):
+        windows = toeplitz_windows(prev[:, :, c], k).reshape(m * n, k)
+        per_channel = windows.T @ windows
+        gram += per_channel
+        anchored[:, c] = per_channel @ anchor[:, c]
+        response[:, c] = windows.T @ curr[:, :, c].reshape(m * n)
     cross = gram @ anchor - anchored + response
     return TransformUpdateInputs(gram, cross, anchor, config.mu, config.lam, config.gamma1)
+
+
+# Relative round-off allowed on the objective across one block update, which
+# the exact (or majorized) proximal steps can only decrease.
+DESCENT_RTOL = 1e-10
+
+
+def _descended(before, fits, regs, l1s, beta, where):
+    """The objective after a step, or TrainingError when the step raised it.
+
+    The tolerance scales with the terms' magnitudes rather than the total,
+    because the log-det regularizers can be negative and cancel the rest.
+    """
+    after = float(_objective_sum(fits, regs, l1s, beta))
+    scale = sum(fits) + sum(abs(r) for r in regs) + beta * sum(l1s)
+    if not (np.isfinite(after) and after <= before + DESCENT_RTOL * scale):
+        raise TrainingError(f"{where}: objective rose from {before!r} to {after!r}")
+    return after
 
 
 def train(data, config):
@@ -260,8 +303,14 @@ def train(data, config):
     coefficients have no layer above).  The objective is recorded after
     every layer update; training stops at ``max_outer_iters`` or once the
     relative objective decrease over one outer iteration falls below
-    ``objective_tol``.  A failed bank update, a failed Newton solve and a
-    Newton solve that does not converge each raise ``TrainingError``.
+    ``objective_tol``.  The objective is kept as cached per-layer terms,
+    so each update recomputes only the terms it changed (one extra
+    forward pass for the layer above) and the value equals a full
+    recomputation bit for bit.  A failed bank update, a failed Newton
+    solve, a Newton solve that does not converge, and a bank or
+    coefficient step that raises the objective by more than
+    ``DESCENT_RTOL`` relative each raise ``TrainingError`` naming the
+    iteration, layer and step.
     """
     if not isinstance(config, ModelConfig):
         raise ValueError("config must be a ModelConfig instance")
@@ -270,20 +319,26 @@ def train(data, config):
     inv_g2 = 1.0 / config.gamma2
     toep = toeplitz_stack(data, config.num_kernels)
     transforms, coeffs = init_model(config, data)
-    trace = [(0, 0, float(_objective_terms(toep, transforms, coeffs, config)))]
-    previous = trace[0][2]
+    # cached per-layer terms; an update to layer l changes only fit_l,
+    # reg_l, l1_l and fit_{l+1}, and the sum runs in _objective_terms' order
+    fits, regs, l1s = _layer_terms(toep, transforms, coeffs, config)
+    value = float(_objective_sum(fits, regs, l1s, config.beta))
+    trace = [(0, 0, value)]
+    previous = value
     for outer in range(1, config.max_outer_iters + 1):
         for layer in range(n_layers):
+            where = f"iteration {outer}, layer {layer + 1}"
             try:
                 transforms[layer] = update_transform(
                     _transform_inputs(layer, transforms, coeffs, toep, config)
                 )
             except (NumericalConditioningError, np.linalg.LinAlgError) as exc:
-                raise TrainingError(
-                    f"iteration {outer}, layer {layer + 1}, transform update: {exc}"
-                ) from exc
+                raise TrainingError(f"{where}, transform update: {exc}") from exc
             prev = toep if layer == 0 else coeffs[layer - 1]
             below = _forward(prev, transforms[layer], layer == 0)
+            fits[layer] = _fit(below, coeffs[layer])
+            regs[layer] = _bank_reg(transforms[layer], config)
+            value = _descended(value, fits, regs, l1s, config.beta, f"{where}, transform update")
             if layer == n_layers - 1:
                 coeffs[layer] = np.maximum(
                     (inv_g2 * coeffs[layer] + below - config.beta) / (1.0 + inv_g2), 0.0
@@ -295,24 +350,23 @@ def train(data, config):
                         coeffs[layer], quad, config.beta, config.gamma2, config.newton
                     )
                 except NumericalConditioningError as exc:
-                    raise TrainingError(
-                        f"iteration {outer}, layer {layer + 1}, coefficient update: {exc}"
-                    ) from exc
+                    raise TrainingError(f"{where}, coefficient update: {exc}") from exc
                 if not result.converged:
                     raise TrainingError(
-                        f"iteration {outer}, layer {layer + 1}, coefficient update: "
-                        f"projected Newton did not converge to grad_tol="
-                        f"{config.newton.grad_tol:g} within {config.newton.max_iters} "
-                        f"iterations"
+                        f"{where}, coefficient update: projected Newton did not converge "
+                        f"to grad_tol={config.newton.grad_tol:g} within "
+                        f"{config.newton.max_iters} iterations"
                     )
                 coeffs[layer] = result.coeffs
-            trace.append(
-                (outer, layer + 1, float(_objective_terms(toep, transforms, coeffs, config)))
-            )
-        current = trace[-1][2]
-        if (previous - current) / max(abs(previous), 1e-12) < config.objective_tol:
+                above = _forward(coeffs[layer], transforms[layer + 1], False)
+                fits[layer + 1] = _fit(above, coeffs[layer + 1])
+            fits[layer] = _fit(below, coeffs[layer])
+            l1s[layer] = float(np.sum(np.abs(coeffs[layer])))
+            value = _descended(value, fits, regs, l1s, config.beta, f"{where}, coefficient update")
+            trace.append((outer, layer + 1, value))
+        if (previous - value) / max(abs(previous), 1e-12) < config.objective_tol:
             break
-        previous = current
+        previous = value
     return TrainedModel(
         transforms=[bank.copy() for bank in transforms],
         config=config,

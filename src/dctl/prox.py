@@ -23,6 +23,8 @@ from typing import NamedTuple
 import numpy as np
 import scipy.linalg
 
+# the training tap kernel: conv_same along axis 1 of rows, or its adjoint
+from .conv import channelwise_forward as _conv_rows
 # unused, but bench/tracing.py's TRACE_POINTS look this name up on the module
 from .conv import conv_same_matrix  # noqa: F401
 
@@ -263,22 +265,6 @@ def coeff_gradient(z, anchor, quad, beta, gamma2):
         + _conv_rows(residual, quad.bank_above, adjoint=True)
         + beta
     )
-
-
-def _conv_rows(rows, kernel, adjoint=False):
-    """``conv_same`` along axis 1 of ``rows`` with ``kernel``, or its adjoint;
-    a (K, C) bank convolves channel c of (M, N, C) rows with column c."""
-    n = rows.shape[1]
-    offset = (len(kernel) - 1) // 2
-    out = np.zeros_like(rows)
-    for j, tap in enumerate(kernel):
-        # tap j sits on diagonal r - c = j - offset of conv_same_matrix
-        shift = j - offset if adjoint else offset - j
-        if shift >= 0:
-            out[:, : n - shift] += tap * rows[:, shift:]
-        else:
-            out[:, -shift:] += tap * rows[:, : n + shift]
-    return out
 
 
 def _hessian_bands(kernel, n, shift):

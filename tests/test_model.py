@@ -11,13 +11,19 @@ from dctl.model import (
     ModelConfig,
     TrainedModel,
     TrainingError,
+    _objective_terms,
     encode,
     init_model,
     layer_forward,
     objective,
     train,
 )
-from dctl.prox import NewtonSettings, NumericalConditioningError
+from dctl.prox import (
+    NewtonSettings,
+    NumericalConditioningError,
+    projected_newton_coeffs,
+    update_transform,
+)
 from dctl.data import generate_synthetic
 from oracles import ctl_reference_trace, grid_search_scalar_prox, objective_direct
 
@@ -260,6 +266,66 @@ def test_train_unconverged_newton_names_iteration_layer_step():
     with pytest.raises(TrainingError, match="iteration 1, layer 1, coefficient update: "
                                             "projected Newton did not converge"):
         train(signals, config)
+
+
+def test_train_trace_equals_full_objective_bitwise():
+    # train keeps the objective as cached per-layer terms; each trace entry
+    # must equal a full recomputation on the state it was recorded for.
+    # train mutates the lists init_model returns, so a snapshot before each
+    # bank update is the state after the previous layer update.  The copies
+    # keep each array's memory layout, which einsum's summation order follows.
+    signals, _ = generate_synthetic(2, 4, 16, seed=12)
+    for layers in (1, 2, 4):
+        config = ModelConfig(num_layers=layers, num_kernels=4, max_outer_iters=3,
+                             objective_tol=0.0, seed=12)
+        state, snapshots = [], []
+
+        def init(*args, **kwargs):
+            state[:] = init_model(*args, **kwargs)
+            return state
+
+        def bank_step(inputs):
+            snapshots.append([[x.copy(order="K") for x in part] for part in state])
+            return update_transform(inputs)
+
+        with mock.patch("dctl.model.init_model", side_effect=init), \
+                mock.patch("dctl.model.update_transform", side_effect=bank_step):
+            model = train(signals, config)
+        snapshots.append([[x.copy(order="K") for x in part] for part in state])
+        assert len(snapshots) == len(model.training_trace) == 1 + 3 * layers
+        toep = toeplitz_stack(signals, 4)
+        for (transforms, coeffs), entry in zip(snapshots, model.training_trace):
+            assert entry[2] == float(_objective_terms(toep, transforms, coeffs, config))
+
+
+def test_train_guard_names_transform_step_that_raised_objective():
+    signals, _ = generate_synthetic(2, 4, 16, seed=13)
+    config = ModelConfig(num_layers=2, num_kernels=4, max_outer_iters=2, seed=13)
+    calls = []
+
+    def worse_second_bank(inputs):
+        calls.append(None)
+        bank = update_transform(inputs)
+        return 3.0 * bank if len(calls) == 2 else bank
+
+    with mock.patch("dctl.model.update_transform", side_effect=worse_second_bank):
+        with pytest.raises(TrainingError, match="iteration 1, layer 2, transform update: "
+                                                "objective rose from"):
+            train(signals, config)
+
+
+def test_train_guard_names_coefficient_step_that_raised_objective():
+    signals, _ = generate_synthetic(2, 4, 16, seed=14)
+    config = ModelConfig(num_layers=2, num_kernels=4, max_outer_iters=2, seed=14)
+
+    def worse_coeffs(*args):
+        result = projected_newton_coeffs(*args)
+        return result._replace(coeffs=result.coeffs + 1.0)
+
+    with mock.patch("dctl.model.projected_newton_coeffs", side_effect=worse_coeffs):
+        with pytest.raises(TrainingError, match="iteration 1, layer 1, coefficient update: "
+                                                "objective rose from"):
+            train(signals, config)
 
 
 def test_train_validates_input():

@@ -16,7 +16,7 @@ from dctl.prox import (
     prox_nonneg_l1,
     update_transform,
 )
-from dctl.prox import _hessian_bands, _newton_direction
+from dctl.prox import _conv_rows, _hessian_bands, _newton_direction
 from oracles import (
     coeff_objective_direct,
     coeff_pg_oracle,
@@ -374,6 +374,27 @@ def test_projected_newton_first_order_optimality():
         interior = result.coeffs > NewtonSettings().active_set_eps
         assert np.all(np.abs(grad[interior]) <= tol)
         assert np.all(grad[~interior] >= -tol)
+
+
+def test_conv_rows_matches_dense_convolution_matrix():
+    # forward is C @ row and the adjoint C^T @ row per row, for K=1, K=2,
+    # odd K, even K and K=N, on (M, N) rows and with a (K, C) bank over
+    # (M, N, C) rows, where channel c uses its own matrix C_c
+    rng = np.random.default_rng(43)
+    for k, n in ((1, 6), (2, 7), (3, 9), (5, 11), (4, 10), (6, 13), (8, 8), (7, 7)):
+        kernel = rng.standard_normal(k)
+        rows = rng.standard_normal((4, n))
+        cmat = conv_matrix_direct(kernel, n)
+        assert np.max(np.abs(_conv_rows(rows, kernel) - rows @ cmat.T)) < 1e-12, (k, n)
+        assert np.max(np.abs(_conv_rows(rows, kernel, adjoint=True) - rows @ cmat)) < 1e-12
+        bank = rng.standard_normal((k, 3))
+        stack = rng.standard_normal((4, n, 3))
+        forward = _conv_rows(stack, bank)
+        adjoint = _conv_rows(stack, bank, adjoint=True)
+        for c in range(3):
+            cmat = conv_matrix_direct(bank[:, c], n)
+            assert np.max(np.abs(forward[:, :, c] - stack[:, :, c] @ cmat.T)) < 1e-12
+            assert np.max(np.abs(adjoint[:, :, c] - stack[:, :, c] @ cmat)) < 1e-12
 
 
 def test_hessian_bands_match_dense_hessian():
