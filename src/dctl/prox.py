@@ -12,9 +12,12 @@ subproblems the alternating trainer cycles through:
   coupled to the layer above; decomposes into independent per-(sample,
   channel) strictly convex quadratics over the nonnegative orthant and
   solves them with an active-set projected Newton method.  The blocks of
-  one channel share a Hessian banded with half-bandwidth K - 1, so each
-  Newton iteration solves every unconverged block of a channel at once
-  through one block-diagonal banded Cholesky solve.
+  one channel share a Hessian H banded with half-bandwidth K - 1.  Each
+  Newton iteration solves every unconverged block of a channel at once:
+  blocks with no clamped coordinate through one multi-RHS solve with
+  H's banded Cholesky factor, taken once per channel, and only blocks
+  with a clamped coordinate through one block-diagonal banded Cholesky
+  solve of their free-coordinate systems.
 """
 
 from dataclasses import dataclass, field
@@ -183,9 +186,7 @@ def update_transform(inputs):
     lower = _cholesky_with_jitter(w)
     g = inputs.cross + inputs.anchor / inputs.gamma1
     y = scipy.linalg.solve_triangular(lower, g, lower=True)
-    u, s, vh = np.linalg.svd(y)
-    s_new = 0.5 * (s + np.sqrt(s * s + 4.0 * inputs.lam))
-    return scipy.linalg.solve_triangular(lower.T, (u * s_new) @ vh, lower=False)
+    return scipy.linalg.solve_triangular(lower.T, prox_logdet_svd(y, inputs.lam), lower=False)
 
 
 @dataclass(frozen=True)
@@ -287,10 +288,12 @@ def _hessian_bands(kernel, n, shift):
 def _newton_direction(bands, grad, free):
     """H_FF^{-1} g_F on the free coordinates and g_C on the clamped ones, per block.
 
-    The blocks sit end to end in one block-diagonal banded matrix; the zero
-    tail of each band row keeps bands from crossing a block boundary.
-    Clamped coordinates get identity rows and columns, which decouples
-    them, so one banded Cholesky solve covers every block.
+    The solver sends only blocks with a clamped coordinate here (and every
+    block when K = 2; see :func:`_newton_channel`).  The blocks sit end to
+    end in one block-diagonal banded matrix; the zero tail of each band row
+    keeps bands from crossing a block boundary.  Clamped coordinates get
+    identity rows and columns, which decouples them, so one banded
+    Cholesky solve covers every block.
     """
     count, n = grad.shape
     flat_free = free.ravel()
@@ -309,64 +312,116 @@ def _newton_direction(bands, grad, free):
     return direction.reshape(count, n)
 
 
+def _cholesky_bands(bands):
+    """Lower banded Cholesky factor of H, given in lower band storage."""
+    try:
+        return scipy.linalg.cholesky_banded(bands, lower=True, check_finite=False)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalConditioningError(
+            f"coefficient Newton system is not positive definite: {exc}"
+        ) from exc
+
+
+def _free_direction(factor, grad):
+    """H^{-1} g for every block (row) of ``grad``, from H's banded Cholesky factor.
+
+    One multi-RHS ``cho_solve_banded`` call.  For a block with no clamped
+    coordinate this gives the bits of :func:`_newton_direction`: the tiled
+    factor of such a block is H's factor, and both solves run the same
+    LAPACK banded substitutions column by column.
+    """
+    return scipy.linalg.cho_solve_banded((factor, True), grad.T, check_finite=False).T
+
+
 def _newton_channel(z, anchor, below, above, kernel, beta, inv_g2, st):
     """Minimize every block (row) of one channel over z >= 0, in place on ``z``.
 
     Block m minimizes the strictly convex
     f(z) = inv_g2/2 ||z - anchor_m||^2 + 1/2 ||z - below_m||^2
            + 1/2 ||C z - above_m||^2 + beta * sum(z)
-    with C = conv_same_matrix(kernel, N).  All blocks share the Hessian, so
-    each iteration takes one Newton step for every unconverged block at
-    once, with an Armijo backtracking step size per block.  Returns
-    (converged, iterations): iterations is the most any block used.
+    with C = conv_same_matrix(kernel, N).  All blocks share the Hessian H,
+    so each iteration takes one Newton step for every unconverged block at
+    once, with an Armijo backtracking step size per block.  Blocks with no
+    clamped coordinate solve with one banded Cholesky factor of H, taken
+    the first time such a block appears; only blocks with a clamped
+    coordinate go through the tiled solve of :func:`_newton_direction`.
+    Returns (converged, iterations): iterations is the most any block used.
     """
     bands = _hessian_bands(kernel, z.shape[1], 1.0 + inv_g2)
+    # solveh_banded solves a two-band (K = 2) system by LDL^T (?ptsv), not
+    # by Cholesky, so a shared Cholesky factor would not reproduce its bits
+    shared = bands.shape[0] != 2
+    factor = None
 
     def sq(x):
         return np.einsum("ij,ij->i", x, x)
 
-    def value(zs, cz, rows):
+    def value(zs, cz, a, b, c):
         return (
-            0.5 * inv_g2 * sq(zs - anchor[rows])
-            + 0.5 * sq(zs - below[rows])
-            + 0.5 * sq(cz - above[rows])
+            0.5 * inv_g2 * sq(zs - a)
+            + 0.5 * sq(zs - b)
+            + 0.5 * sq(cz - c)
             + beta * zs.sum(axis=1)
         )
 
+    # the active blocks: rows of z, their anchor/below/above rows, iterates,
+    # responses C z and values, all filtered together when a block stops;
+    # contiguous copies, since a channel of an (M, N, K) array is strided
     rows = np.arange(z.shape[0])
-    zs = z
+    zs, a, b, c = (np.ascontiguousarray(x) for x in (z, anchor, below, above))
     cz = _conv_rows(zs, kernel)
-    f = value(zs, cz, rows)
+    f = value(zs, cz, a, b, c)
     converged, used = True, 0
     for it in range(st.max_iters):
-        residual = _conv_rows(cz - above[rows], kernel, adjoint=True)
-        grad = inv_g2 * (zs - anchor[rows]) + (zs - below[rows]) + residual + beta
+        residual = _conv_rows(cz - c, kernel, adjoint=True)
+        grad = inv_g2 * (zs - a) + (zs - b) + residual + beta
         free = (zs > st.active_set_eps) | (grad < 0.0)
         # blocks that meet first-order optimality stop here; at it == 0
         # this leaves already-optimal blocks untouched
         keep = np.abs(np.where(free, grad, 0.0)).max(axis=1) > st.grad_tol
         if not keep.all():
             used = max(used, it)
-        rows, zs, cz, f, grad, free = (x[keep] for x in (rows, zs, cz, f, grad, free))
+            rows, zs, cz, f, grad, free, a, b, c = (
+                x[keep] for x in (rows, zs, cz, f, grad, free, a, b, c)
+            )
         if not rows.size:
             return converged, used
         if it == 0 and not np.all(np.isfinite(f)):
             raise NumericalConditioningError("coefficient block objective is not finite")
-        direction = _newton_direction(bands, grad, free)
+        full = free.all(axis=1) & shared
+        if full.any() and factor is None:
+            factor = _cholesky_bands(bands)
+        if full.all():
+            direction = _free_direction(factor, grad)
+        else:
+            direction = np.empty_like(grad)
+            if full.any():
+                direction[full] = _free_direction(factor, grad[full])
+            part = ~full
+            direction[part] = _newton_direction(bands, grad[part], free[part])
         step = np.ones(rows.size)
         trial = np.arange(rows.size)
         stalled = np.zeros(rows.size, dtype=bool)
-        new_z, new_cz, new_f = zs.copy(), cz.copy(), f.copy()
+        new_z = None
         while trial.size:
-            zt = np.maximum(zs[trial] - step[trial, None] * direction[trial], 0.0)
+            # while every block is on trial, index with views, not copies
+            whole = trial.size == rows.size
+            sel = slice(None) if whole else trial
+            zt = np.maximum(zs[sel] - step[sel, None] * direction[sel], 0.0)
             czt = _conv_rows(zt, kernel)
-            ft = value(zt, czt, rows[trial])
+            ft = value(zt, czt, a[sel], b[sel], c[sel])
             if not np.all(np.isfinite(ft)):
                 raise NumericalConditioningError(
                     "coefficient line search produced a non-finite value"
                 )
-            decrease = np.einsum("ij,ij->i", grad[trial], zs[trial] - zt)
-            ok = (ft <= f[trial] - st.armijo_c * np.maximum(decrease, 0.0)) & (ft <= f[trial])
+            decrease = np.einsum("ij,ij->i", grad[sel], zs[sel] - zt)
+            ok = (ft <= f[sel] - st.armijo_c * np.maximum(decrease, 0.0)) & (ft <= f[sel])
+            if whole and ok.all():
+                # every block accepts this step: the trial arrays are the new iterates
+                new_z, new_cz, new_f = zt, czt, ft
+                break
+            if new_z is None:
+                new_z, new_cz, new_f = zs.copy(), cz.copy(), f.copy()
             done = trial[ok]
             new_z[done], new_cz[done], new_f[done] = zt[ok], czt[ok], ft[ok]
             trial = trial[~ok]
@@ -378,8 +433,10 @@ def _newton_channel(z, anchor, below, above, kernel, beta, inv_g2, st):
                 stalled[trial[exhausted]] = True
                 trial = trial[~exhausted]
         z[rows] = new_z
-        going = ~stalled
-        rows, zs, cz, f = rows[going], new_z[going], new_cz[going], new_f[going]
+        zs, cz, f = new_z, new_cz, new_f
+        if stalled.any():
+            going = ~stalled
+            rows, zs, cz, f, a, b, c = (x[going] for x in (rows, zs, cz, f, a, b, c))
     return False, st.max_iters
 
 
@@ -391,10 +448,15 @@ def projected_newton_coeffs(z0, quad, beta, gamma2, settings=None):
     channels; each block of channel k shares the Hessian
     H_k = C_k^T C_k + (1 + 1/gamma2) Id, banded with half-bandwidth K - 1
     and built once per channel from the kernel taps.  Per channel, every
-    unconverged block takes its projected Newton step together: the
-    blocks' free-coordinate systems sit in one block-diagonal banded matrix
-    (identity on clamped coordinates) solved by a single banded Cholesky
-    call, and the Armijo backtracking keeps a step size per block.
+    unconverged block takes its projected Newton step together.  Blocks
+    with no clamped coordinate solve H_k z = g in one multi-RHS call with
+    H_k's banded Cholesky factor, taken once per channel; only blocks with
+    a clamped coordinate put their free-coordinate systems in one
+    block-diagonal banded matrix (identity on clamped coordinates) solved
+    by a single banded Cholesky call.  Both give the same bits for a
+    fully free block.  At K = 2, where the tiled solve is an LDL^T one,
+    every block takes the tiled solve.  The Armijo backtracking keeps a
+    step size per block.
     Blocks whose start point already satisfies first-order optimality are
     left untouched.  Returns the updated (M, N, K) array plus a flag that
     is False when some block hit ``max_iters`` before reaching ``grad_tol``

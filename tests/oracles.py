@@ -4,11 +4,19 @@ Everything here is computed from first principles: definition loops,
 dense grid searches, brute-force pair enumeration, or long-running
 first-order methods.  None of it calls into the package, so the package
 and these references can only agree when both are right.
+
+The one exception in kind is ``projected_newton_reference``: a frozen
+copy of the batched projected Newton solver as it stood before blocks
+with no clamped coordinate shared one Cholesky factor per channel.  It
+is not independent of the package's arithmetic; it pins the solver's
+output bit for bit, so that a speed-up that changes round-off fails.
 """
 
 from fractions import Fraction
 
 import numpy as np
+import scipy.linalg
+from scipy.ndimage import convolve1d, correlate1d
 
 __all__ = [
     "conv_direct",
@@ -19,6 +27,8 @@ __all__ = [
     "transform_gd_oracle",
     "coeff_objective_direct",
     "coeff_pg_oracle",
+    "newton_channel_reference",
+    "projected_newton_reference",
     "ari_bruteforce",
     "objective_direct",
     "ctl_reference_trace",
@@ -195,6 +205,121 @@ def coeff_pg_oracle(z0, below, bank_above, above, beta, gamma2, iters=50_000):
         )
         z = np.maximum(z - grad / lip, 0.0)
     return z
+
+
+def _conv_rows_reference(rows, kernel, adjoint=False):
+    """conv_same along axis 1 of (M, N) rows, or its adjoint, through scipy.ndimage."""
+    k = kernel.shape[0]
+    origin = (k - 1) // 2 - k // 2
+    apply = correlate1d if adjoint else convolve1d
+    return apply(rows, kernel, axis=1, mode="constant", origin=origin)
+
+
+def _hessian_bands_reference(kernel, n, shift):
+    """C^T C + shift * Id in LAPACK lower band storage, zero band tails."""
+    k = kernel.size
+    offset = (k - 1) // 2
+    bands = np.zeros((k, n))
+    bands[0] = shift
+    for d in range(k):
+        for j in range(d, k):
+            bands[d, max(0, offset - j) : min(n - d, n + offset - j)] += kernel[j] * kernel[j - d]
+    return bands
+
+
+def _tiled_direction_reference(bands, grad, free):
+    """Every block's active-set Newton direction from one tiled banded solve."""
+    count, n = grad.shape
+    flat_free = free.ravel()
+    ab = np.tile(bands, count)
+    ab[0, ~flat_free] = 1.0
+    for d in range(1, bands.shape[0]):
+        ab[d, :-d] *= flat_free[:-d] & flat_free[d:]
+    direction = scipy.linalg.solveh_banded(
+        ab, grad.ravel(), overwrite_ab=True, lower=True, check_finite=False
+    )
+    return direction.reshape(count, n)
+
+
+def newton_channel_reference(z, anchor, below, above, kernel, beta, inv_g2, st):
+    """The frozen per-channel projected Newton loop, in place on ``z``.
+
+    Every block of the channel takes its Newton step through the tiled
+    solve, and the line search gathers anchor/below/above rows on every
+    use.  The solver's checks that raise on non-finite values are left
+    out.  Returns (converged, iterations).
+    """
+    bands = _hessian_bands_reference(kernel, z.shape[1], 1.0 + inv_g2)
+
+    def sq(x):
+        return np.einsum("ij,ij->i", x, x)
+
+    def value(zs, cz, rows):
+        return (
+            0.5 * inv_g2 * sq(zs - anchor[rows])
+            + 0.5 * sq(zs - below[rows])
+            + 0.5 * sq(cz - above[rows])
+            + beta * zs.sum(axis=1)
+        )
+
+    rows = np.arange(z.shape[0])
+    zs = z
+    cz = _conv_rows_reference(zs, kernel)
+    f = value(zs, cz, rows)
+    converged, used = True, 0
+    for it in range(st.max_iters):
+        residual = _conv_rows_reference(cz - above[rows], kernel, adjoint=True)
+        grad = inv_g2 * (zs - anchor[rows]) + (zs - below[rows]) + residual + beta
+        free = (zs > st.active_set_eps) | (grad < 0.0)
+        keep = np.abs(np.where(free, grad, 0.0)).max(axis=1) > st.grad_tol
+        if not keep.all():
+            used = max(used, it)
+        rows, zs, cz, f, grad, free = (x[keep] for x in (rows, zs, cz, f, grad, free))
+        if not rows.size:
+            return converged, used
+        direction = _tiled_direction_reference(bands, grad, free)
+        step = np.ones(rows.size)
+        trial = np.arange(rows.size)
+        stalled = np.zeros(rows.size, dtype=bool)
+        new_z, new_cz, new_f = zs.copy(), cz.copy(), f.copy()
+        while trial.size:
+            zt = np.maximum(zs[trial] - step[trial, None] * direction[trial], 0.0)
+            czt = _conv_rows_reference(zt, kernel)
+            ft = value(zt, czt, rows[trial])
+            decrease = np.einsum("ij,ij->i", grad[trial], zs[trial] - zt)
+            ok = (ft <= f[trial] - st.armijo_c * np.maximum(decrease, 0.0)) & (ft <= f[trial])
+            done = trial[ok]
+            new_z[done], new_cz[done], new_f[done] = zt[ok], czt[ok], ft[ok]
+            trial = trial[~ok]
+            step[trial] *= st.backtrack_factor
+            exhausted = step[trial] < 1e-14
+            if exhausted.any():
+                converged, used = False, max(used, it + 1)
+                stalled[trial[exhausted]] = True
+                trial = trial[~exhausted]
+        z[rows] = new_z
+        going = ~stalled
+        rows, zs, cz, f = rows[going], new_z[going], new_cz[going], new_f[going]
+    return False, st.max_iters
+
+
+def projected_newton_reference(z0, below, bank_above, above, beta, gamma2, st):
+    """Run :func:`newton_channel_reference` on every channel of an (M, N, K)
+    coefficient update, as the solver drives its own per-channel loop.
+
+    Returns (coeffs, converged, iterations).
+    """
+    inv_g2 = 1.0 / gamma2
+    out = np.maximum(z0, 0.0)
+    converged, iterations = True, 0
+    for chan in range(z0.shape[2]):
+        ok, used = newton_channel_reference(
+            out[:, :, chan], z0[:, :, chan], below[:, :, chan], above[:, :, chan],
+            bank_above[:, chan], beta, inv_g2, st,
+        )
+        converged = converged and ok
+        iterations = max(iterations, used)
+    return out, converged, iterations
 
 
 def ari_bruteforce(labels_a, labels_b):

@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.optimize
 
+import dctl.data
+import dctl.model
 from dctl.prox import (
     CoeffQuadratics,
     NewtonSettings,
@@ -16,7 +19,13 @@ from dctl.prox import (
     prox_nonneg_l1,
     update_transform,
 )
-from dctl.prox import _conv_rows, _hessian_bands, _newton_direction
+from dctl.prox import (
+    _cholesky_bands,
+    _conv_rows,
+    _free_direction,
+    _hessian_bands,
+    _newton_direction,
+)
 from oracles import (
     coeff_objective_direct,
     coeff_pg_oracle,
@@ -24,6 +33,7 @@ from oracles import (
     fd_gradient,
     golden_section,
     grid_search_scalar_prox,
+    projected_newton_reference,
     transform_gd_oracle,
     transform_objective,
 )
@@ -430,6 +440,95 @@ def test_newton_direction_matches_dense_active_set_split():
             if f.any():
                 expected[f] = np.linalg.solve(hess[np.ix_(f, f)], g[f])
             assert np.allclose(d, expected, rtol=1e-10, atol=1e-12), (k, n)
+
+
+def test_free_direction_matches_dense_solve_and_tiled_bits():
+    # blocks with no clamped coordinate solve with H's shared banded factor:
+    # H^{-1} g to 1e-10, and the tiled solve's bits wherever the solver
+    # uses the shared factor (every K but 2, which solveh_banded does by LDL^T)
+    rng = np.random.default_rng(44)
+    for k, n in ((1, 5), (2, 7), (3, 9), (4, 4), (6, 11), (8, 128)):
+        kernel = rng.standard_normal(k)
+        cmat = conv_matrix_direct(kernel, n)
+        hess = cmat.T @ cmat + 1.5 * np.eye(n)
+        bands = _hessian_bands(kernel, n, 1.5)
+        grad = rng.standard_normal((5, n))
+        direction = _free_direction(_cholesky_bands(bands), grad)
+        expected = np.linalg.solve(hess, grad.T).T
+        assert np.allclose(direction, expected, rtol=1e-10, atol=1e-12), (k, n)
+        if k != 2:
+            tiled = _newton_direction(bands, grad, np.ones((5, n), dtype=bool))
+            assert direction.tobytes() == tiled.tobytes(), (k, n)
+
+
+def test_train_deep_shape_takes_shared_factor_path(monkeypatch):
+    # at M=200, N=128, K=8, L=3 about half of the Newton block solves are
+    # fully free; they must go through cho_solve_banded, not the tiled solve
+    calls = []
+    solve = scipy.linalg.cho_solve_banded
+
+    def counting(*args, **kwargs):
+        calls.append(args[1].shape[1])
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "cho_solve_banded", counting)
+    signals, _ = dctl.data.generate_synthetic(4, 50, 128, noise_sigma=0.3, seed=1)
+    config = dctl.model.ModelConfig(num_layers=3, num_kernels=8, max_outer_iters=1,
+                                    objective_tol=0.0)
+    dctl.model.train(dctl.data.normalize_per_sample(signals), config)
+    # 1,681 of the 3,371 block solves of this training are fully free
+    assert sum(calls) > 1000
+
+
+def _newton_reference_instance(rng, m, n, k, kind=None):
+    """Coefficient data whose rows pull up (kind 0, fully free), push down
+    (kind 1, fully clamped) or mix (kind 2), by row index mod 3; ``kind``
+    gives every row the same kind."""
+    kinds = (np.arange(m) % 3 if kind is None else np.full(m, kind))[:, None, None]
+    up = 6.0 + rng.uniform(0.0, 1.0, (m, n, k))
+    below = np.choose(kinds, [up, -up, 2.0 * rng.standard_normal((m, n, k))])
+    bank = 0.5 * rng.standard_normal((k, k)) / np.sqrt(k)
+    above = np.where(kinds == 1, 0.0, np.maximum(rng.standard_normal((m, n, k)), 0.0))
+    z0 = np.maximum(rng.standard_normal((m, n, k)), 0.0)
+    return z0, CoeffQuadratics(below, bank, above)
+
+
+@pytest.mark.parametrize(
+    "m, n, k, kind, settings",
+    [
+        (6, 12, 4, 0, NewtonSettings()),  # all fully free
+        (9, 12, 4, None, NewtonSettings()),  # free, clamped and mixed blocks
+        (6, 12, 4, 1, NewtonSettings()),  # all clamped
+        (9, 10, 3, None, NewtonSettings(max_iters=1, grad_tol=1e-14)),  # unconverged
+        (9, 12, 4, None, NewtonSettings(armijo_c=0.9, backtrack_factor=1e-15)),  # stalls
+        # Armijo decisions at round-off level, where the order of the terms
+        # of a block's value decides them
+        (30, 32, 4, None, NewtonSettings(max_iters=12, grad_tol=1e-15)),
+        (9, 9, 1, None, NewtonSettings()),
+        (9, 11, 2, None, NewtonSettings()),
+        (200, 128, 8, None, NewtonSettings()),
+        (12, 1024, 8, None, NewtonSettings()),
+    ],
+)
+def test_projected_newton_matches_reference_bitwise(m, n, k, kind, settings):
+    rng = np.random.default_rng(45 + n + k)
+    z0, quad = _newton_reference_instance(rng, m, n, k, kind)
+    beta, gamma2 = 0.05, 1.5
+    result = projected_newton_coeffs(z0, quad, beta, gamma2, settings)
+    coeffs, converged, iterations = projected_newton_reference(
+        z0, quad.below, quad.bank_above, quad.above, beta, gamma2, settings
+    )
+    assert result.coeffs.tobytes() == coeffs.tobytes()
+    assert (result.converged, result.iterations) == (converged, iterations)
+    eps = settings.active_set_eps
+    if kind == 0:
+        assert np.all(result.coeffs > eps)
+    if kind == 1:
+        assert not np.any(result.coeffs)
+    if settings.backtrack_factor < 1e-14:
+        assert not converged and iterations < settings.max_iters
+    if settings.max_iters == 1:
+        assert not converged
 
 
 def test_projected_newton_mixed_free_and_clamped_blocks():
