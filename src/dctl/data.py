@@ -7,8 +7,11 @@ name the offending row and column, 1-based.
 """
 
 import csv
+import itertools
 import math
+import numbers
 import os
+import warnings
 from typing import NamedTuple
 
 import numpy as np
@@ -41,6 +44,48 @@ class DatasetSplit(NamedTuple):
 
 
 def _parse_csv(path):
+    with open(path, newline="") as handle:
+        values = _read_csv_bulk(handle)
+    return _parse_csv_rows(path) if values is None else values
+
+
+def _read_csv_bulk(handle):
+    """The whole table through numpy's C reader, or None to read it row by row.
+
+    Leading blank lines are skipped, and the first non-blank record is a
+    header when its first cell fails ``float()``.  The rest goes to one
+    ``np.loadtxt`` call, whose reader converts each field with
+    ``PyOS_string_to_double``, the routine ``float()`` ends in, so the
+    bits match.  A quote in the first record, any field numpy rejects
+    (quotes, underscores, non-ASCII digits, blank cells, ragged rows), a
+    non-finite value or an empty remainder returns None, and the
+    row-wise reader decides.
+    """
+    while True:
+        line = handle.readline()
+        if not line or '"' in line:
+            return None
+        cells = line.split(",")  # float() and strip() drop the line end
+        if any(cell.strip() for cell in cells):
+            break
+    try:
+        float(cells[0])
+        lines = itertools.chain([line], handle)
+    except ValueError:
+        lines = handle  # a header
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # an empty remainder warns
+            values = np.loadtxt(lines, delimiter=",", comments=None, quotechar=None,
+                                ndmin=2, dtype=np.float64)
+    except ValueError:
+        return None
+    if values.size == 0 or not np.isfinite(values).all():
+        return None
+    return values
+
+
+def _parse_csv_rows(path):
     rows = []
     width = None
     header_skipped = False
@@ -90,8 +135,8 @@ def _parse_csv(path):
 
 
 def _parse_raw(path, cols):
-    if cols is None or int(cols) < 1:
-        raise DatasetFormatError("raw format needs a positive column count")
+    if isinstance(cols, bool) or not isinstance(cols, numbers.Integral) or cols < 1:
+        raise DatasetFormatError(f"raw format needs a positive column count, got {cols!r}")
     cols = int(cols)
     size = os.path.getsize(path)
     if size % 8:
@@ -115,25 +160,55 @@ def _parse_raw(path, cols):
     return values
 
 
+def _undecodable(path, err):
+    """DatasetFormatError naming the file offset of the first byte that does not decode.
+
+    The text reader decodes in chunks, so ``err.start`` counts from its
+    chunk; decoding the whole file again gives the offset in the file.
+    """
+    with open(path, "rb") as handle:
+        raw = handle.read()
+    try:
+        raw.decode(err.encoding)
+    except UnicodeDecodeError as whole:
+        err = whole
+    bad = err.object[err.start:err.end]
+    return DatasetFormatError(
+        f"{path}: byte offset {err.start}: cannot decode {bad!r} as {err.encoding} "
+        f"({err.reason})"
+    )
+
+
 def load_matrix(path, fmt="csv", cols=None):
     """Parse a dataset file into an (M, N) float64 matrix.
 
-    CSV: ``csv.reader`` splits the records and each row is converted with
-    one ``np.array(row, dtype=np.float64)`` call, which applies Python's
-    ``float()`` to every cell, so quoted cells, surrounding whitespace,
-    ``1_000`` and Unicode digits parse as ``float()`` parses them.  Blank
-    records are skipped but still counted.  A first row whose first cell
-    does not parse is taken as a header.  Any other row that fails to
-    parse, or holds a non-finite value, is re-read cell by cell so the
-    error names its record and column; a row of another width is an error
-    too.  The cost is one numpy call per row, and the peak memory is
-    about twice the returned array.
+    CSV: the cells parse as Python's ``float()`` parses them, so quoted
+    cells, surrounding whitespace, ``1_000`` and Unicode digits are
+    numbers.  Blank records are skipped but still counted.  A first
+    non-blank record whose first cell does not parse is a header.  Any
+    other cell that fails to parse or is not finite is an error naming its
+    record and column, 1-based, and so is a row of another width.  A byte
+    that does not decode is an error naming its offset in the file.
 
-    Raw: packed little-endian float64 in rows of ``cols`` values; a file
-    whose size is not a whole number of values is an error.
+    The common case, unquoted finite numbers in rows of one width, is read
+    by one ``np.loadtxt`` call on the open file: numpy's C reader converts
+    each field with the routine ``float()`` ends in, so the bits are the
+    same, and the result is its only full-size array.  Anything else it
+    rejects is read again by ``csv.reader``, one numpy conversion per row
+    and a cell-by-cell pass for a row that fails; that reader is the only
+    source of the errors above.  One difference remains: ``csv.reader``
+    refuses a field longer than ``csv.field_size_limit()`` characters, and
+    numpy's reader does not.
+
+    Raw: packed little-endian float64 in rows of ``cols`` values, a
+    positive integer; a file whose size is not a whole number of values is
+    an error.
     """
     if fmt == "csv":
-        return _parse_csv(path)
+        try:
+            return _parse_csv(path)
+        except UnicodeDecodeError as err:
+            raise _undecodable(path, err) from None
     if fmt == "raw":
         return _parse_raw(path, cols)
     raise DatasetFormatError(f"unknown dataset format {fmt!r}")

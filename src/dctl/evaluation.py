@@ -48,11 +48,67 @@ def _check_labels(labels, count, name="labels"):
     return arr
 
 
+def _nearest(train, test, k):
+    """The first k columns of ``argsort(cdist(test, train), kind="stable")``,
+    bit for bit; ``knn_classify`` gives the argument."""
+    info = np.finfo(np.float64)
+    dims = train.shape[1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        train_sq = np.einsum("ij,ij->i", train, train)
+        test_sq = np.einsum("ij,ij->i", test, test)
+        estimate = test @ train.T
+        estimate *= -2.0
+        slack = test_sq[:, None] + train_sq
+        estimate += slack
+        slack *= 8 * (dims + 4) * info.eps
+        slack += 8 * (dims + 4) * info.smallest_subnormal
+        upper = estimate + slack
+        finite = np.isfinite(upper).all(axis=1)
+        upper.partition(k - 1, axis=1)
+        estimate -= slack
+        candidates = estimate <= upper[:, k - 1:k]
+    candidates[~finite] = True
+    order = np.empty((test.shape[0], k), dtype=np.intp)
+    for i in range(test.shape[0]):
+        rows = np.flatnonzero(candidates[i])
+        dists = cdist(test[i:i + 1], train[rows])[0]
+        order[i] = rows[np.argsort(dists, kind="stable")[:k]]
+    return order
+
+
 def knn_classify(train_features, train_labels, test_features, k):
     """Euclidean k-nearest-neighbour majority vote.
 
-    Vote ties go to the smallest label index; neighbour ranking uses a
-    stable sort so equal distances resolve to the earliest training row.
+    Vote ties go to the smallest label index.  The neighbours are the first
+    k of a stable sort of ``cdist`` distances, so equal distances resolve
+    to the earliest training row.  They are found bit for bit without the
+    full ``cdist`` matrix: one GEMM bounds every squared distance, and
+    ``cdist`` re-ranks only the rows the bounds cannot rule out.
+
+    Bound.  For a test row q and a training row t in D dimensions, let
+    S = ‖q‖² + ‖t‖², d² = ‖q − t‖² ≤ 2S and u = eps/2.  The estimate
+    e = ‖q‖² + ‖t‖² − 2q·t takes the row norms and q·t from BLAS in any
+    summation order, each within γ_D = D·u/(1 − D·u) of S, and two more
+    roundings of at most u·2S, so |e − d²| ≲ (2D + 4)·u·S.  ``cdist``
+    takes the root of a sum s of D squared differences, each within γ_3,
+    so |s − d²| ≤ γ_{D+2}·2S ≲ (2D + 4)·u·S.  The slack
+    8·(D + 4)·eps·S = (16D + 64)·u·S covers |e − s| with room for the
+    terms below, and 8·(D + 4) smallest subnormals cover products that
+    underflow (each is off by at most half of one).  So
+    lower = e − slack ≤ s ≤ upper = e + slack.
+
+    Ties.  Let T be the k-th smallest upper of a test row.  At least k
+    rows have s ≤ T, so the k-th smallest distance is at most fl(√T).  A
+    row among the k nearest, or tied with the k-th after the rounded root,
+    has fl(√s) ≤ fl(√T), hence s ≤ T·(1 + 4u) ≤ T + 8u·S: with the
+    rounding of the bounds themselves, about (4D + 20)·u·S in all, which
+    the slack exceeds three times over, so that row has lower ≤ T.  The
+    candidates, rows with lower ≤ T, thus hold every row the full sort
+    puts in the first k.  ``cdist`` gives each pair the same bits whichever
+    rows it is handed, and the candidates are sorted stably in ascending
+    row order, so ties break as in the full sort.  Where a bound is not
+    finite (the squares overflow, as ``cdist``'s own sum then does), every
+    training row is a candidate.
     """
     train = _check_features(train_features, "train_features")
     labels = _check_labels(train_labels, train.shape[0], "train_labels")
@@ -62,9 +118,7 @@ def knn_classify(train_features, train_labels, test_features, k):
     k = int(k)
     if not 1 <= k <= train.shape[0]:
         raise ValueError(f"k must be in [1, {train.shape[0]}], got {k}")
-    dists = cdist(test, train)
-    order = np.argsort(dists, axis=1, kind="stable")[:, :k]
-    votes = labels[order]
+    votes = labels[_nearest(train, test, k)]
     out = np.empty(test.shape[0], dtype=np.int64)
     for i in range(test.shape[0]):
         out[i] = np.bincount(votes[i]).argmax()

@@ -10,13 +10,19 @@ copy of the batched projected Newton solver as it stood before blocks
 with no clamped coordinate shared one Cholesky factor per channel.  It
 is not independent of the package's arithmetic; it pins the solver's
 output bit for bit, so that a speed-up that changes round-off fails.
+``parse_csv_reference`` and ``knn_order_reference`` are frozen copies of
+the same kind: the row-wise CSV reader and the full ``cdist`` neighbour
+ranking as they stood before the bulk and screened paths.
 """
 
+import csv
+import math
 from fractions import Fraction
 
 import numpy as np
 import scipy.linalg
 from scipy.ndimage import convolve1d, correlate1d
+from scipy.spatial.distance import cdist
 
 __all__ = [
     "conv_direct",
@@ -30,6 +36,9 @@ __all__ = [
     "newton_channel_reference",
     "projected_newton_reference",
     "ari_bruteforce",
+    "parse_csv_reference",
+    "knn_order_reference",
+    "knn_reference",
     "objective_direct",
     "ctl_reference_trace",
     "fd_gradient",
@@ -320,6 +329,71 @@ def projected_newton_reference(z0, below, bank_above, above, beta, gamma2, st):
         converged = converged and ok
         iterations = max(iterations, used)
     return out, converged, iterations
+
+
+def parse_csv_reference(path, error=ValueError):
+    """The CSV reader as it stood before the bulk path, raising ``error``.
+
+    ``csv.reader`` splits the records and each row is converted with one
+    ``np.array(row, dtype=np.float64)`` call; a row that fails is re-read
+    cell by cell, to skip a leading header or to name the first bad cell.
+    """
+    rows = []
+    width = None
+    header_skipped = False
+    with open(path, newline="") as handle:
+        for line_no, row in enumerate(csv.reader(handle), start=1):
+            if not row or all(not cell.strip() for cell in row):
+                continue
+            try:
+                values = np.array(row, dtype=np.float64)
+                clean = bool(np.isfinite(values).all())
+            except ValueError:
+                clean = False
+            if not clean:
+                values = []
+                for col_no, cell in enumerate(row, start=1):
+                    try:
+                        value = float(cell)
+                    except ValueError:
+                        if not rows and not header_skipped and col_no == 1:
+                            header_skipped = True
+                            values = None
+                            break
+                        raise error(
+                            f"{path}: row {line_no}, column {col_no}: "
+                            f"could not parse {cell.strip()!r} as a number"
+                        ) from None
+                    if not math.isfinite(value):
+                        raise error(
+                            f"{path}: row {line_no}, column {col_no}: non-finite value"
+                        )
+                    values.append(value)
+                if values is None:
+                    continue
+            if width is None:
+                width = len(values)
+            elif len(values) != width:
+                raise error(
+                    f"{path}: row {line_no}: expected {width} columns, found {len(values)}"
+                )
+            rows.append(values)
+    if not rows:
+        raise error(f"{path}: no data rows")
+    return np.stack(rows)
+
+
+def knn_order_reference(train, test, k):
+    """The k nearest training rows per test row: a stable sort of the full
+    ``cdist`` matrix, so equal distances go to the earliest row."""
+    return np.argsort(cdist(test, train), axis=1, kind="stable")[:, :k]
+
+
+def knn_reference(train, labels, test, k):
+    """Majority vote over :func:`knn_order_reference`; a tied vote goes to
+    the smallest label."""
+    votes = np.asarray(labels)[knn_order_reference(train, test, k)]
+    return np.array([np.bincount(row).argmax() for row in votes], dtype=np.int64)
 
 
 def ari_bruteforce(labels_a, labels_b):

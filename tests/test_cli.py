@@ -172,6 +172,15 @@ def test_raw_file_with_a_trailing_partial_value_is_runtime_error(tmp_path, pipel
     assert "259 bytes" in err
 
 
+def test_undecodable_csv_is_runtime_error(tmp_path, capsys):
+    path = tmp_path / "latin.csv"
+    path.write_bytes(b"1.0,2.0\n\xff\xfe,3\n")
+    assert cli(["train", str(path), "--model-out", str(tmp_path / "m.dctl")]) == 2
+    err = capsys.readouterr().err
+    assert "byte offset 8" in err
+    assert "Traceback" not in err
+
+
 def test_classify_needs_labels(tmp_path, capsys):
     rng = np.random.default_rng(34)
     path = tmp_path / "plain.csv"

@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import dctl.data
 from dctl.data import (
     DatasetFormatError,
     generate_synthetic,
@@ -157,6 +158,39 @@ def test_csv_load_peaks_below_three_times_the_result(tmp_path):
     assert peak < 3 * loaded.nbytes
 
 
+def test_csv_feature_file_with_header_takes_the_bulk_path(tmp_path, monkeypatch):
+    rng = np.random.default_rng(25)
+    features = np.abs(rng.standard_normal((40, 16)))
+    features[features < 0.5] = 0.0
+    path = tmp_path / "features.csv"
+    write_csv(path, features, labels=rng.integers(0, 3, size=40), header=True)
+
+    def refuse(path):
+        raise AssertionError("the row-wise reader was used")
+
+    monkeypatch.setattr(dctl.data, "_parse_csv_rows", refuse)
+    loaded = load_matrix(path)
+    assert np.array_equal(loaded[:, :-1], features)
+    # a quoted cell still goes row by row
+    path.write_text('f0,f1\n"1",2\n')
+    with pytest.raises(AssertionError, match="row-wise"):
+        load_matrix(path)
+
+
+def test_csv_undecodable_bytes_name_the_file_and_offset(tmp_path):
+    path = tmp_path / "latin.csv"
+    path.write_bytes(b"1.0,2.0\n\xff\xfe,3\n")
+    with pytest.raises(DatasetFormatError) as excinfo:
+        load_matrix(path)
+    message = str(excinfo.value)
+    assert str(path) in message
+    assert "byte offset 8" in message
+    # past the text reader's first chunk, the offset still counts from the file start
+    path.write_bytes(b"1.0,2.0\n" * 5000 + b"3.0,\xe9\n")
+    with pytest.raises(DatasetFormatError, match="byte offset 40004"):
+        load_matrix(path)
+
+
 def test_unknown_format_rejected(tmp_path):
     path = tmp_path / "data.csv"
     path.write_text("1,2\n")
@@ -186,6 +220,15 @@ def test_raw_requires_cols_and_divisibility(tmp_path):
     path.write_bytes(b"")
     with pytest.raises(DatasetFormatError, match="no data"):
         load_matrix(path, fmt="raw", cols=3)
+
+
+@pytest.mark.parametrize("cols", [2.5, True, "x", "3", 0, -2])
+def test_raw_cols_must_be_a_positive_integer(tmp_path, cols):
+    path = tmp_path / "data.raw"
+    np.arange(6, dtype="<f8").tofile(path)
+    with pytest.raises(DatasetFormatError, match="positive column count"):
+        load_matrix(path, fmt="raw", cols=cols)
+    assert load_matrix(path, fmt="raw", cols=np.int64(2)).shape == (3, 2)
 
 
 def test_raw_trailing_partial_value_is_rejected(tmp_path):

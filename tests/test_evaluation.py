@@ -5,8 +5,10 @@ import time
 import numpy as np
 import pytest
 
+import dctl.evaluation
 from dctl.evaluation import (
     KMEANS_INITS,
+    _nearest,
     _pca_basis,
     _seed_kmeanspp,
     _seed_pca,
@@ -17,7 +19,13 @@ from dctl.evaluation import (
     nearest_centroid_classify,
     timed,
 )
-from oracles import ari_bruteforce, make_blobs, pca_seeds_svd
+from oracles import (
+    ari_bruteforce,
+    knn_order_reference,
+    knn_reference,
+    make_blobs,
+    pca_seeds_svd,
+)
 
 
 def separated_blobs(seed=0, per_cluster=15, sigma=0.1):
@@ -64,6 +72,85 @@ def test_knn_argument_validation():
         knn_classify(train, labels[:3], test, k=1)
     with pytest.raises(ValueError):
         knn_classify(train, labels, np.zeros((2, 3)), k=1)
+
+
+def knn_case(name):
+    """(train, labels, test, k) for the named screening case."""
+    rng = np.random.default_rng(sum(map(ord, name)))
+    if name == "integer-grid":
+        train = rng.integers(-2, 3, (60, 3)).astype(np.float64)
+        test = rng.integers(-2, 3, (30, 3)).astype(np.float64)
+        k = 5
+    elif name == "duplicated-rows":
+        base = rng.standard_normal((10, 4))
+        train = base[rng.integers(0, 10, 50)]
+        test = np.vstack([base, rng.standard_normal((5, 4))])
+        k = 4
+    elif name == "all-zero":
+        train = np.zeros((12, 5))
+        train[::3] = 1.0
+        test = np.zeros((4, 5))
+        k = 3
+    elif name == "k-equals-n-train":
+        train = rng.integers(0, 3, (9, 2)).astype(np.float64)
+        test = rng.integers(0, 3, (6, 2)).astype(np.float64)
+        k = 9
+    elif name == "one-dimension":
+        train = rng.integers(-3, 4, (25, 1)).astype(np.float64)
+        test = np.arange(-4.0, 5.0)[:, None] + 0.5 * (np.arange(9) % 2)[:, None]
+        k = 4
+    elif name == "last-bit-ties":
+        train = 1.0 + rng.integers(0, 3, (40, 6)) * np.finfo(np.float64).eps
+        test = 1.0 + rng.integers(0, 3, (10, 6)) * np.finfo(np.float64).eps
+        k = 3
+    elif name.startswith("scale-"):
+        scale = float(name.removeprefix("scale-"))
+        train = scale * rng.standard_normal((30, 8))
+        test = scale * rng.standard_normal((10, 8))
+        k = 3
+    elif name == "features-io-shape":
+        train = np.maximum(rng.standard_normal((1400, 1024)) - 0.5, 0.0)
+        test = np.maximum(rng.standard_normal((600, 1024)) - 0.5, 0.0)
+        k = 3
+    else:
+        raise ValueError(name)
+    return train, rng.integers(0, 4, train.shape[0]), test, k
+
+
+KNN_CASES = ["integer-grid", "duplicated-rows", "all-zero", "k-equals-n-train",
+             "one-dimension", "last-bit-ties", "scale-1e-150", "scale-1e150",
+             "scale-1e154", "scale-1e-162", "scale-1e-170", "features-io-shape"]
+
+
+@pytest.mark.parametrize("name", KNN_CASES)
+def test_knn_matches_full_cdist_reference_bitwise(name):
+    train, labels, test, k = knn_case(name)
+    assert np.array_equal(_nearest(train, test, k), knn_order_reference(train, test, k))
+    assert np.array_equal(knn_classify(train, labels, test, k),
+                          knn_reference(train, labels, test, k))
+
+
+def test_knn_screen_hands_cdist_a_few_rows(monkeypatch):
+    rng = np.random.default_rng(11)
+    train = rng.standard_normal((300, 16))
+    labels = rng.integers(0, 3, 300)
+    test = rng.standard_normal((50, 16))
+    expected = knn_reference(train, labels, test, 3)
+    sizes = []
+
+    def counting_cdist(a, b, *args, **kwargs):
+        sizes.append(len(b))
+        return cdist(a, b, *args, **kwargs)
+
+    cdist = dctl.evaluation.cdist
+    monkeypatch.setattr(dctl.evaluation, "cdist", counting_cdist)
+    assert np.array_equal(knn_classify(train, labels, test, 3), expected)
+    assert len(sizes) == 50
+    assert max(sizes) < 300
+    # squares that overflow leave no bound, so every row is a candidate
+    sizes.clear()
+    knn_classify(1e154 * train, labels, 1e154 * test, 3)
+    assert min(sizes) == 300
 
 
 def test_knn_invariant_under_orthogonal_maps():
