@@ -9,17 +9,14 @@ index) used to judge the features.
 
 from .conv import (
     conv_same,
-    conv_same_adjoint,
     conv_same_matrix,
     materialize_toeplitz,
-    multichannel_forward,
     toeplitz_stack,
 )
 from .data import (
     DatasetFormatError,
     DatasetSplit,
     generate_synthetic,
-    load_dataset,
     load_matrix,
     normalize_per_sample,
     train_test_split,
@@ -41,7 +38,6 @@ from .model import (
     TrainingError,
     encode,
     init_model,
-    layer_forward,
     objective,
     train,
 )
@@ -87,19 +83,15 @@ __all__ = [
     "accuracy",
     "adjusted_rand_index",
     "conv_same",
-    "conv_same_adjoint",
     "conv_same_matrix",
     "encode",
     "generate_synthetic",
     "init_model",
     "kmeans",
     "knn_classify",
-    "layer_forward",
-    "load_dataset",
     "load_matrix",
     "load_model",
     "materialize_toeplitz",
-    "multichannel_forward",
     "nearest_centroid_classify",
     "normalize_per_sample",
     "objective",

@@ -29,8 +29,8 @@ Batched convolutions use two primitives, one per job:
 
 A *bank* is a (K, K) matrix whose K columns are kernels; a *block* is an
 (N, K) matrix holding one response column per channel.  Channels never
-mix: ``multichannel_forward``, ``channelwise_forward`` on one block,
-convolves column k of a block with kernel k of a bank only.
+mix: ``channelwise_forward`` convolves column k of a block with kernel k
+of a bank only.
 """
 
 import numpy as np
@@ -39,13 +39,11 @@ from scipy.ndimage import convolve1d, correlate1d
 
 __all__ = [
     "conv_same",
-    "conv_same_adjoint",
     "conv_same_matrix",
     "materialize_toeplitz",
     "toeplitz_windows",
     "toeplitz_stack",
     "channelwise_forward",
-    "multichannel_forward",
 ]
 
 
@@ -71,23 +69,6 @@ def conv_same(signal, kernel):
     kernel = _as_vector(kernel, "kernel")
     _check_lengths(signal.size, kernel.size)
     return np.convolve(signal, kernel, mode="same")
-
-
-def conv_same_adjoint(vec, kernel):
-    """Transpose of ``conv_same(., kernel)`` applied to ``vec``.
-
-    This is the correlation alignment: out[i] = sum_j kernel[j] *
-    vec[i + j - offset], the exact adjoint of the zero-padded forward
-    convolution (<conv_same(x, t), y> == <x, conv_same_adjoint(y, t)>).
-    """
-    vec = _as_vector(vec, "vec")
-    kernel = _as_vector(kernel, "kernel")
-    k = kernel.size
-    _check_lengths(vec.size, k)
-    offset = (k - 1) // 2
-    full = np.convolve(vec, kernel[::-1], mode="full")
-    start = k - 1 - offset
-    return full[start : start + vec.size]
 
 
 def materialize_toeplitz(signal, kernel_size):
@@ -137,12 +118,12 @@ def channelwise_forward(rows, kernel, adjoint=False):
 
     A 1-D kernel convolves every row of (M, N) ``rows``; a (K, C) bank
     convolves channel c of (M, N, C) rows with column c, so an (M, N, K)
-    stack and a (K, K) bank give :func:`multichannel_forward` of every
-    block.  ``adjoint`` applies the transpose (the correlation, as in
-    :func:`conv_same_adjoint`).  Each call is one compiled
-    ``scipy.ndimage`` pass per channel whose origin shift gives the
-    offset convention, even K included; see the module docstring for the
-    measured reason this is the training kernel.
+    stack and a (K, K) bank give the channel-wise response of every
+    block.  ``adjoint`` applies the transpose, the correlation
+    out[i] = sum_j kernel[j] * rows[i + j - offset].  Each call is one
+    compiled ``scipy.ndimage`` pass per channel whose origin shift gives
+    the offset convention, even K included; see the module docstring for
+    the measured reason this is the training kernel.
     """
     k = kernel.shape[0]
     origin = (k - 1) // 2 - k // 2
@@ -176,26 +157,3 @@ def conv_same_matrix(kernel, size):
         out[idx, idx + d] = coef
     return out
 
-
-def multichannel_forward(block, bank):
-    """Convolve channel k of ``block`` with kernel k of ``bank``, channel-wise.
-
-    block: (N, K) coefficient block; bank: (K, K) matrix whose columns are
-    kernels.  Returns the (N, K) block whose column k is
-    conv_same(block[:, k], bank[:, k]).  No cross-channel summation.
-    """
-    block = np.asarray(block, dtype=np.float64)
-    bank = np.asarray(bank, dtype=np.float64)
-    if block.ndim != 2:
-        raise ValueError(f"block must be 2-D, got shape {block.shape}")
-    if bank.ndim != 2 or bank.shape[0] != bank.shape[1]:
-        raise ValueError(f"bank must be square, got shape {bank.shape}")
-    if block.shape[1] != bank.shape[0]:
-        raise ValueError(
-            f"channel count mismatch: block has {block.shape[1]} channels, "
-            f"bank has {bank.shape[0]} kernels"
-        )
-    if not (np.all(np.isfinite(block)) and np.all(np.isfinite(bank))):
-        raise ValueError("block or bank contains non-finite values")
-    _check_lengths(block.shape[0], bank.shape[0])
-    return channelwise_forward(block[None], bank)[0]

@@ -26,7 +26,6 @@ __all__ = [
     "split_labels",
     "normalize_per_sample",
     "train_test_split",
-    "load_dataset",
     "generate_synthetic",
     "write_csv",
 ]
@@ -90,45 +89,49 @@ def _parse_csv_rows(path):
     width = None
     header_skipped = False
     with open(path, newline="") as handle:
-        for line_no, row in enumerate(csv.reader(handle), start=1):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            try:
-                # numpy converts each str with float(), so the bits match
-                values = np.array(row, dtype=np.float64)
-                clean = bool(np.isfinite(values).all())
-            except ValueError:
-                clean = False
-            if not clean:
-                # cell by cell: skip a header, or name the first bad cell
-                values = []
-                for col_no, cell in enumerate(row, start=1):
-                    try:
-                        value = float(cell)
-                    except ValueError:
-                        # tolerate a single leading header line of non-numeric names
-                        if not rows and not header_skipped and col_no == 1:
-                            header_skipped = True
-                            values = None
-                            break
-                        raise DatasetFormatError(
-                            f"{path}: row {line_no}, column {col_no}: "
-                            f"could not parse {cell.strip()!r} as a number"
-                        ) from None
-                    if not math.isfinite(value):
-                        raise DatasetFormatError(
-                            f"{path}: row {line_no}, column {col_no}: non-finite value"
-                        )
-                    values.append(value)
-                if values is None:
+        line_no = 0
+        try:
+            for line_no, row in enumerate(csv.reader(handle), start=1):
+                if not row or all(not cell.strip() for cell in row):
                     continue
-            if width is None:
-                width = len(values)
-            elif len(values) != width:
-                raise DatasetFormatError(
-                    f"{path}: row {line_no}: expected {width} columns, found {len(values)}"
-                )
-            rows.append(values)
+                try:
+                    # numpy converts each str with float(), so the bits match
+                    values = np.array(row, dtype=np.float64)
+                    clean = bool(np.isfinite(values).all())
+                except ValueError:
+                    clean = False
+                if not clean:
+                    # cell by cell: skip a header, or name the first bad cell
+                    values = []
+                    for col_no, cell in enumerate(row, start=1):
+                        try:
+                            value = float(cell)
+                        except ValueError:
+                            # tolerate a single leading header line of non-numeric names
+                            if not rows and not header_skipped and col_no == 1:
+                                header_skipped = True
+                                values = None
+                                break
+                            raise DatasetFormatError(
+                                f"{path}: row {line_no}, column {col_no}: "
+                                f"could not parse {cell.strip()!r} as a number"
+                            ) from None
+                        if not math.isfinite(value):
+                            raise DatasetFormatError(
+                                f"{path}: row {line_no}, column {col_no}: non-finite value"
+                            )
+                        values.append(value)
+                    if values is None:
+                        continue
+                if width is None:
+                    width = len(values)
+                elif len(values) != width:
+                    raise DatasetFormatError(
+                        f"{path}: row {line_no}: expected {width} columns, found {len(values)}"
+                    )
+                rows.append(values)
+        except csv.Error as exc:  # from the reader: a field over csv.field_size_limit()
+            raise DatasetFormatError(f"{path}: row {line_no + 1}: {exc}") from None
     if not rows:
         raise DatasetFormatError(f"{path}: no data rows")
     return np.stack(rows)
@@ -197,8 +200,8 @@ def load_matrix(path, fmt="csv", cols=None):
     rejects is read again by ``csv.reader``, one numpy conversion per row
     and a cell-by-cell pass for a row that fails; that reader is the only
     source of the errors above.  One difference remains: ``csv.reader``
-    refuses a field longer than ``csv.field_size_limit()`` characters, and
-    numpy's reader does not.
+    refuses a field longer than ``csv.field_size_limit()`` characters,
+    which is an error naming its record, and numpy's reader does not.
 
     Raw: packed little-endian float64 in rows of ``cols`` values, a
     positive integer; a file whose size is not a whole number of values is
@@ -263,15 +266,6 @@ def train_test_split(features, labels, split=0.7, seed=0):
     return DatasetSplit(
         features[train_idx], labels[train_idx], features[test_idx], labels[test_idx]
     )
-
-
-def load_dataset(path, fmt="csv", cols=None, labeled=False, split=0.7, seed=0, normalize=True):
-    """Load, optionally normalize, shuffle and split a dataset file."""
-    values = load_matrix(path, fmt=fmt, cols=cols)
-    features, labels = split_labels(values, labeled)
-    if normalize:
-        features = normalize_per_sample(features)
-    return train_test_split(features, labels, split=split, seed=seed)
 
 
 def generate_synthetic(classes, per_class, length, motif_count=3, noise_sigma=0.1, seed=0):

@@ -12,6 +12,7 @@ from scipy.linalg import eigh
 from scipy.spatial.distance import cdist
 
 __all__ = [
+    "KMEANS_INITS",
     "ClusteringResult",
     "knn_classify",
     "nearest_centroid_classify",

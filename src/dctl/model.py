@@ -31,6 +31,7 @@ from .prox import (
     NumericalConditioningError,
     TransformUpdateInputs,
     projected_newton_coeffs,
+    prox_nonneg_l1,
     update_transform,
 )
 
@@ -40,7 +41,6 @@ __all__ = [
     "TrainingError",
     "objective",
     "init_model",
-    "layer_forward",
     "train",
     "encode",
 ]
@@ -131,23 +131,6 @@ def _forward(prev, bank, first_layer):
         # (M, N, J) Toeplitz views times (J, K) bank -> (M, N, K) responses
         return np.einsum("mnj,jk->mnk", prev, bank)
     return channelwise_forward(prev, bank)
-
-
-def layer_forward(prev, bank, first_layer):
-    """Forward response of one layer.
-
-    For the first layer ``prev`` is the (M, N, K) stack of Toeplitz views
-    of the raw signals; deeper layers take the (M, N, K) coefficients of
-    the layer below and convolve them channel-wise with the compiled tap
-    kernel; both cost O(M N K^2) time and O(M N K) memory.
-    """
-    prev = np.asarray(prev, dtype=np.float64)
-    bank = np.asarray(bank, dtype=np.float64)
-    if prev.ndim != 3 or bank.ndim != 2 or bank.shape[0] != bank.shape[1]:
-        raise ValueError("prev must be (M, N, K) and bank (K, K)")
-    if prev.shape[2] != bank.shape[0]:
-        raise ValueError("channel count mismatch between prev and bank")
-    return _forward(prev, bank, first_layer)
 
 
 def _fit(response, z):
@@ -299,8 +282,8 @@ def train(data, config):
 
     Per outer iteration and per layer (l = 1 ... L in order) the bank is
     refreshed by its closed-form proximal update and the coefficients by a
-    projected Newton solve (a separable shrink for the last layer, whose
-    coefficients have no layer above).  The objective is recorded after
+    projected Newton solve (in the last layer, which has no layer above,
+    by the shrink ``prox_nonneg_l1``).  The objective is recorded after
     every layer update; training stops at ``max_outer_iters`` or once the
     relative objective decrease over one outer iteration falls below
     ``objective_tol``.  The objective is kept as cached per-layer terms,
@@ -340,9 +323,8 @@ def train(data, config):
             regs[layer] = _bank_reg(transforms[layer], config)
             value = _descended(value, fits, regs, l1s, config.beta, f"{where}, transform update")
             if layer == n_layers - 1:
-                coeffs[layer] = np.maximum(
-                    (inv_g2 * coeffs[layer] + below - config.beta) / (1.0 + inv_g2), 0.0
-                )
+                shrunk = prox_nonneg_l1(inv_g2 * coeffs[layer] + below, config.beta, 1.0)
+                coeffs[layer] = shrunk / (1.0 + inv_g2)
             else:
                 quad = CoeffQuadratics(below, transforms[layer + 1], coeffs[layer + 1])
                 try:
@@ -380,12 +362,12 @@ def encode(model, data, all_layers=False):
 
     Layer by layer the incoming activation is the forward response of the
     previous layer's (rectified) coefficients, and the coefficients are the
-    one-sided shrink max(response - beta, 0) -- the exact minimizer of the
-    single-block coefficient problem 0.5 * ||response - z||^2 +
-    beta * ||z||_1 over z >= 0.  Returns the flattened last-layer
-    coefficients, one row of length N * K per sample (row-major over
-    positions, channel fastest), or the full list of (M, N, K) layer
-    stacks when ``all_layers`` is set.
+    one-sided shrink ``prox_nonneg_l1(response, beta, 1)`` -- the exact
+    minimizer of the single-block coefficient problem
+    0.5 * ||response - z||^2 + beta * ||z||_1 over z >= 0.  Returns the
+    flattened last-layer coefficients, one row of length N * K per sample
+    (row-major over positions, channel fastest), or the full list of
+    (M, N, K) layer stacks when ``all_layers`` is set.
     """
     if not isinstance(model, TrainedModel):
         raise ValueError("model must be a TrainedModel instance")
@@ -401,7 +383,7 @@ def encode(model, data, all_layers=False):
     current = toep
     for l, bank in enumerate(model.transforms):
         response = _forward(current, bank, l == 0)
-        current = np.maximum(response - config.beta, 0.0)
+        current = prox_nonneg_l1(response, config.beta, 1.0)
         stacks.append(current)
     if all_layers:
         return stacks

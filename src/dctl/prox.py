@@ -7,7 +7,8 @@ subproblems the alternating trainer cycles through:
   square transform, solved in closed form through a Cholesky change of
   variable and an SVD-based log-det prox.
 * ``prox_nonneg_l1`` -- scalar prox of ``beta * |z| + indicator(z >= 0)``
-  against a single quadratic, used by the last-layer coefficient update.
+  against a single quadratic, used by the last-layer coefficient update
+  and by the encoder.
 * ``projected_newton_coeffs`` -- coefficient update for layers that are
   coupled to the layer above; decomposes into independent per-(sample,
   channel) strictly convex quadratics over the nonnegative orthant and
@@ -52,7 +53,13 @@ class NumericalConditioningError(RuntimeError):
 
 @dataclass(frozen=True)
 class NewtonSettings:
-    """Knobs for the projected Newton coefficient solver."""
+    """Knobs for the projected Newton coefficient solver.
+
+    ``grad_tol`` is absolute: the largest entry of each block's projected
+    gradient must fall below it, whatever the scale of the data.  Data far
+    from unit scale needs normalizing (the CLI's default) or a scaled
+    ``grad_tol``, or ``train`` raises "projected Newton did not converge".
+    """
 
     max_iters: int = 50
     grad_tol: float = 1e-8
@@ -78,12 +85,13 @@ def prox_nonneg_l1(v, beta, weight):
 
     Minimizes (weight / 2) * (z - v)^2 + beta * z over z >= 0, which has
     the one-sided soft-threshold solution max(v - beta / weight, 0).
-    ``v`` may be a scalar or an array (applied entrywise).
+    At ``beta == 0``, which ``ModelConfig`` allows, it is the projection
+    max(v, 0).  ``v`` may be a scalar or an array (applied entrywise).
     """
     beta = float(beta)
     weight = float(weight)
-    if not (np.isfinite(beta) and beta > 0):
-        raise ValueError("beta must be finite and positive")
+    if not (np.isfinite(beta) and beta >= 0):
+        raise ValueError("beta must be finite and >= 0")
     if not (np.isfinite(weight) and weight > 0):
         raise ValueError("weight must be finite and positive")
     v = np.asarray(v, dtype=np.float64)

@@ -181,6 +181,16 @@ def test_undecodable_csv_is_runtime_error(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_csv_field_over_the_size_limit_is_runtime_error(tmp_path, capsys):
+    path = tmp_path / "long.csv"
+    path.write_text('"' + "0" * 140_000 + '",1\n')
+    assert cli(["train", str(path), "--model-out", str(tmp_path / "m.dctl")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "row 1" in err
+    assert "Traceback" not in err
+
+
 def test_classify_needs_labels(tmp_path, capsys):
     rng = np.random.default_rng(34)
     path = tmp_path / "plain.csv"

@@ -6,10 +6,8 @@ import pytest
 from dctl.conv import (
     channelwise_forward,
     conv_same,
-    conv_same_adjoint,
     conv_same_matrix,
     materialize_toeplitz,
-    multichannel_forward,
     toeplitz_stack,
 )
 from dctl.model import ModelConfig, _transform_inputs
@@ -137,11 +135,11 @@ def test_adjoint_inner_product_identity():
     rng = np.random.default_rng(6)
     for n, k in ((8, 3), (16, 5), (16, 4), (9, 8)):
         for trial in range(25):
-            x = rng.standard_normal(n)
-            y = rng.standard_normal(n)
-            kernel = rng.standard_normal(k)
-            lhs = np.dot(conv_same(x, kernel), y)
-            rhs = np.dot(x, conv_same_adjoint(y, kernel))
+            x = rng.standard_normal((2, n, k))
+            y = rng.standard_normal((2, n, k))
+            bank = rng.standard_normal((k, k))
+            lhs = np.sum(channelwise_forward(x, bank) * y)
+            rhs = np.sum(x * channelwise_forward(y, bank, adjoint=True))
             assert abs(lhs - rhs) < 1e-10
 
 
@@ -149,59 +147,50 @@ def test_adjoint_matches_matrix_transpose():
     rng = np.random.default_rng(7)
     kernel = rng.standard_normal(5)
     mat = conv_same_matrix(kernel, 11)
-    for trial in range(20):
-        y = rng.standard_normal(11)
-        assert np.allclose(conv_same_adjoint(y, kernel), mat.T @ y, atol=1e-12)
+    rows = rng.standard_normal((20, 11))
+    assert np.allclose(channelwise_forward(rows, kernel, adjoint=True), rows @ mat, atol=1e-12)
 
 
 def test_multichannel_identity_bank():
     rng = np.random.default_rng(8)
     for k in (2, 3, 4, 8):
-        block = rng.standard_normal((16, k))
-        assert np.array_equal(multichannel_forward(block, impulse_bank(k)), block)
+        stack = rng.standard_normal((3, 16, k))
+        assert np.array_equal(channelwise_forward(stack, impulse_bank(k)), stack)
 
 
 def test_multichannel_channel_independence():
     rng = np.random.default_rng(9)
-    block = np.zeros((12, 4))
-    block[:, 0] = rng.standard_normal(12)
+    stack = np.zeros((2, 12, 4))
+    stack[:, :, 0] = rng.standard_normal((2, 12))
     bank = rng.standard_normal((4, 4))
-    out = multichannel_forward(block, bank)
-    assert np.any(out[:, 0])
-    assert not np.any(out[:, 1:])
+    for adjoint in (False, True):
+        out = channelwise_forward(stack, bank, adjoint=adjoint)
+        assert np.any(out[:, :, 0])
+        assert not np.any(out[:, :, 1:])
 
 
 def test_multichannel_matches_per_column_conv():
     rng = np.random.default_rng(10)
-    block = rng.standard_normal((16, 4))
+    stack = rng.standard_normal((2, 16, 4))
     bank = rng.standard_normal((4, 4))
-    out = multichannel_forward(block, bank)
-    for k in range(4):
-        assert np.max(np.abs(out[:, k] - conv_same(block[:, k], bank[:, k]))) < 1e-12
+    out = channelwise_forward(stack, bank)
+    for m in range(2):
+        for k in range(4):
+            expected = conv_same(stack[m, :, k], bank[:, k])
+            assert np.max(np.abs(out[m, :, k] - expected)) < 1e-12
 
 
 def test_multichannel_linearity():
     rng = np.random.default_rng(11)
     for trial in range(20):
-        a = rng.standard_normal((10, 3))
-        b = rng.standard_normal((10, 3))
+        a = rng.standard_normal((2, 10, 3))
+        b = rng.standard_normal((2, 10, 3))
         bank = rng.standard_normal((3, 3))
         alpha, gamma = rng.standard_normal(2)
-        lhs = multichannel_forward(alpha * a + gamma * b, bank)
-        rhs = (alpha * multichannel_forward(a, bank)
-               + gamma * multichannel_forward(b, bank))
+        lhs = channelwise_forward(alpha * a + gamma * b, bank)
+        rhs = (alpha * channelwise_forward(a, bank)
+               + gamma * channelwise_forward(b, bank))
         assert np.allclose(lhs, rhs, atol=1e-10)
-
-
-def test_multichannel_rejects_mismatch():
-    with pytest.raises(ValueError):
-        multichannel_forward(np.zeros((8, 3)), np.zeros((4, 4)))
-    with pytest.raises(ValueError):
-        multichannel_forward(np.zeros((8, 3)), np.zeros((3, 4)))
-    with pytest.raises(ValueError):
-        multichannel_forward(np.zeros(8), np.zeros((2, 2)))
-    with pytest.raises(ValueError):
-        multichannel_forward(np.full((8, 2), np.nan), np.zeros((2, 2)))
 
 
 # ------------------------------------------------------------ window primitive

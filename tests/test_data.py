@@ -10,7 +10,6 @@ import dctl.data
 from dctl.data import (
     DatasetFormatError,
     generate_synthetic,
-    load_dataset,
     load_matrix,
     looks_labeled,
     normalize_per_sample,
@@ -191,6 +190,17 @@ def test_csv_undecodable_bytes_name_the_file_and_offset(tmp_path):
         load_matrix(path)
 
 
+def test_csv_field_over_the_size_limit_names_its_record(tmp_path):
+    path = tmp_path / "long.csv"
+    path.write_text('1,2\n\n"' + "0" * (csv.field_size_limit() + 1) + '",3\n')
+    with pytest.raises(DatasetFormatError) as excinfo:
+        load_matrix(path)
+    message = str(excinfo.value)
+    assert str(path) in message
+    assert "row 3" in message
+    assert "field limit" in message
+
+
 def test_unknown_format_rejected(tmp_path):
     path = tmp_path / "data.csv"
     path.write_text("1,2\n")
@@ -318,23 +328,6 @@ def test_train_test_split_edge_cases():
         train_test_split(features, None, split=0.0)
     with pytest.raises(ValueError):
         train_test_split(features, None, split=1.5)
-
-
-def test_load_dataset_labeled_and_unlabeled(tmp_path):
-    rng = np.random.default_rng(23)
-    features = rng.standard_normal((10, 6))
-    labels = rng.integers(0, 3, size=10)
-    path = tmp_path / "set.csv"
-    write_csv(path, features, labels)
-    split = load_dataset(path, labeled=True, split=0.7, seed=1)
-    assert split.train_features.shape == (7, 6)
-    assert split.train_labels.shape == (7,)
-    expected = {tuple(row) for row in normalize_per_sample(features)}
-    seen = {tuple(row) for row in np.vstack([split.train_features, split.test_features])}
-    assert seen == expected
-    raw_split = load_dataset(path, labeled=False, split=0.7, seed=1, normalize=False)
-    assert raw_split.train_features.shape == (7, 7)
-    assert raw_split.train_labels is None
 
 
 # ---------------------------------------------------------- synthetic signals

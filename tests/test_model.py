@@ -11,10 +11,10 @@ from dctl.model import (
     ModelConfig,
     TrainedModel,
     TrainingError,
+    _forward,
     _objective_terms,
     encode,
     init_model,
-    layer_forward,
     objective,
     train,
 )
@@ -188,7 +188,7 @@ def test_layer_forward_first_layer_matches_toeplitz():
     data = rng.standard_normal((3, 10))
     bank = rng.standard_normal((3, 3))
     toep = toeplitz_stack(data, 3)
-    out = layer_forward(toep, bank, first_layer=True)
+    out = _forward(toep, bank, first_layer=True)
     for m in range(3):
         assert np.allclose(out[m], toep[m] @ bank, atol=1e-12)
 
@@ -197,18 +197,11 @@ def test_layer_forward_deep_layer_convolves_channels():
     rng = np.random.default_rng(49)
     prev = rng.standard_normal((2, 10, 3))
     bank = rng.standard_normal((3, 3))
-    out = layer_forward(prev, bank, first_layer=False)
+    out = _forward(prev, bank, first_layer=False)
     for m in range(2):
         for k in range(3):
             assert np.allclose(out[m, :, k], conv_same(prev[m, :, k], bank[:, k]),
                                atol=1e-12)
-
-
-def test_layer_forward_validates_shapes():
-    with pytest.raises(ValueError):
-        layer_forward(np.zeros((2, 8)), np.eye(2), first_layer=True)
-    with pytest.raises(ValueError):
-        layer_forward(np.zeros((2, 8, 3)), np.eye(2), first_layer=False)
 
 
 # ----------------------------------------------------------------- training

@@ -122,8 +122,12 @@ def test_prox_nonneg_l1_descent():
 
 
 def test_prox_nonneg_l1_rejects_bad_parameters():
-    for beta, weight in ((0.0, 1.0), (-1.0, 1.0), (1.0, 0.0), (1.0, -2.0),
-                         (np.inf, 1.0), (1.0, np.nan)):
+    # beta == 0, which ModelConfig allows, is the projection onto z >= 0
+    v = np.random.default_rng(23).standard_normal(50) * np.logspace(-300, 3, 50)
+    for weight in (0.5, 1.0, 3.0):
+        assert np.maximum(v, 0.0).tobytes() == prox_nonneg_l1(v, 0.0, weight).tobytes()
+    for beta, weight in ((-1.0, 1.0), (1.0, 0.0), (1.0, -2.0),
+                         (np.inf, 1.0), (np.nan, 1.0), (1.0, np.nan)):
         with pytest.raises(ValueError):
             prox_nonneg_l1(1.0, beta, weight)
 
