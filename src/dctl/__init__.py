@@ -38,7 +38,6 @@ from .model import (
     TrainingError,
     encode,
     init_model,
-    objective,
     train,
 )
 from .persistence import (
@@ -94,7 +93,6 @@ __all__ = [
     "materialize_toeplitz",
     "nearest_centroid_classify",
     "normalize_per_sample",
-    "objective",
     "projected_newton_coeffs",
     "prox_logdet_svd",
     "prox_nonneg_l1",

@@ -1,4 +1,4 @@
-"""Stacked convolutional transform model: objective, trainer, encoder.
+"""Stacked convolutional transform model: trainer and encoder.
 
 The model is a stack of L square kernel banks T_1 ... T_L (each (K, K),
 columns are kernels) with per-sample coefficient blocks Z_1 ... Z_L (each
@@ -15,7 +15,9 @@ Training minimizes, over all banks and coefficients jointly,
 
 by alternating proximal block updates in the order T_1, Z_1, ..., T_L,
 Z_L, each step anchored to the previous iterate, which makes the
-objective trace non-increasing.
+objective trace non-increasing.  ``init_model`` and ``encode`` walk the
+stack one layer at a time, each layer's coefficients the shrunk forward
+response of the layer below.
 """
 
 from dataclasses import dataclass, field
@@ -39,7 +41,6 @@ __all__ = [
     "ModelConfig",
     "TrainedModel",
     "TrainingError",
-    "objective",
     "init_model",
     "train",
     "encode",
@@ -79,10 +80,8 @@ class ModelConfig:
             raise ValueError("num_kernels must be >= 1")
         if not (np.isfinite(self.mu) and self.mu >= 0):
             raise ValueError("mu must be finite and >= 0")
-        # lam == 0 is allowed so the objective can be evaluated without the
-        # log-det term; training itself needs lam > 0 and rejects 0 later.
-        if not (np.isfinite(self.lam) and self.lam >= 0):
-            raise ValueError("lam must be finite and >= 0")
+        if not (np.isfinite(self.lam) and self.lam > 0):
+            raise ValueError("lam must be finite and positive")
         if not (np.isfinite(self.beta) and self.beta >= 0):
             raise ValueError("beta must be finite and >= 0")
         if not (np.isfinite(self.gamma1) and self.gamma1 > 0):
@@ -165,65 +164,36 @@ def _objective_sum(fits, regs, l1s, beta):
     return sum(fits) + sum(regs) + beta * sum(l1s)
 
 
-def _objective_terms(toep, transforms, coeffs, config):
-    return _objective_sum(*_layer_terms(toep, transforms, coeffs, config), config.beta)
+def _walk(data, transforms, beta):
+    """Yield each layer's coefficients ``prox_nonneg_l1(forward, beta, 1)``
+    in layer order, the layer below the only other stack alive."""
+    current = toeplitz_stack(data, len(transforms[0]))
+    for l, bank in enumerate(transforms):
+        current = prox_nonneg_l1(_forward(current, bank, l == 0), beta, 1.0)
+        yield current
 
 
-def objective(transforms, coeffs, data, config):
-    """Joint objective value; +inf when coefficients leave the orthant or a
-    bank loses rank.  Sums over samples run in ascending sample order."""
-    data = _check_data(data, config)
-    k = config.num_kernels
-    if len(transforms) != config.num_layers or len(coeffs) != config.num_layers:
-        raise ValueError("transforms and coeffs must both have num_layers entries")
-    transforms = [np.asarray(t, dtype=np.float64) for t in transforms]
-    coeffs = [np.asarray(z, dtype=np.float64) for z in coeffs]
-    expected = (data.shape[0], data.shape[1], k)
-    for l, (bank, z) in enumerate(zip(transforms, coeffs)):
-        if bank.shape != (k, k):
-            raise ValueError(f"transform {l + 1} must be ({k}, {k}), got {bank.shape}")
-        if z.shape != expected:
-            raise ValueError(f"coefficients {l + 1} must be {expected}, got {z.shape}")
-    if any(np.any(z < 0) for z in coeffs):
-        return np.inf
-    toep = toeplitz_stack(data, k)
-    return float(_objective_terms(toep, transforms, coeffs, config))
-
-
-def init_model(config, data, epsilon=0.1):
+def init_model(config, data):
     """Seeded starting point: banks near the identity, coefficients feasible.
 
-    Each bank is Id + epsilon * R with R uniform on (-1, 1), redrawn until
-    its smallest singular value is at least 0.01 (epsilon=0 gives exact
-    identities, handy for debugging).  Coefficients are the rectified
-    forward pass of the data through those banks, so they are feasible by
-    construction.
+    Each bank is Id + 0.1 * R with R uniform on (-1, 1), redrawn until its
+    smallest singular value is at least 0.01.  Coefficients are the
+    rectified forward pass of the data through those banks (the layer
+    walk at beta = 0), so they are feasible by construction.
     """
     data = _check_data(data, config)
-    if epsilon < 0:
-        raise ValueError("epsilon must be >= 0")
     rng = np.random.default_rng(config.seed)
     k = config.num_kernels
     transforms = []
     for _ in range(config.num_layers):
-        if epsilon == 0:
-            transforms.append(np.eye(k))
-            continue
         for _ in range(1000):
-            bank = np.eye(k) + epsilon * rng.uniform(-1.0, 1.0, size=(k, k))
+            bank = np.eye(k) + 0.1 * rng.uniform(-1.0, 1.0, size=(k, k))
             if np.linalg.svd(bank, compute_uv=False).min() >= 0.01:
                 break
         else:
             raise RuntimeError("could not draw a well-conditioned initial bank")
         transforms.append(bank)
-    toep = toeplitz_stack(data, k)
-    coeffs = []
-    prev = toep
-    for l, bank in enumerate(transforms):
-        response = _forward(prev, bank, l == 0)
-        prev = np.maximum(response, 0.0)
-        coeffs.append(prev)
-    return transforms, coeffs
+    return transforms, list(_walk(data, transforms, 0.0))
 
 
 def _transform_inputs(layer, transforms, coeffs, toep, config):
@@ -303,7 +273,7 @@ def train(data, config):
     toep = toeplitz_stack(data, config.num_kernels)
     transforms, coeffs = init_model(config, data)
     # cached per-layer terms; an update to layer l changes only fit_l,
-    # reg_l, l1_l and fit_{l+1}, and the sum runs in _objective_terms' order
+    # reg_l, l1_l and fit_{l+1}; _objective_sum fixes the summation order
     fits, regs, l1s = _layer_terms(toep, transforms, coeffs, config)
     value = float(_objective_sum(fits, regs, l1s, config.beta))
     trace = [(0, 0, value)]
@@ -357,7 +327,7 @@ def train(data, config):
     )
 
 
-def encode(model, data, all_layers=False):
+def encode(model, data):
     """Deterministic out-of-sample feature map of a trained model.
 
     Layer by layer the incoming activation is the forward response of the
@@ -366,8 +336,9 @@ def encode(model, data, all_layers=False):
     minimizer of the single-block coefficient problem
     0.5 * ||response - z||^2 + beta * ||z||_1 over z >= 0.  Returns the
     flattened last-layer coefficients, one row of length N * K per sample
-    (row-major over positions, channel fastest), or the full list of
-    (M, N, K) layer stacks when ``all_layers`` is set.
+    (row-major over positions, channel fastest).  Only one layer's stack
+    is kept at a time, so the peak memory is about four times the result
+    at any depth.
     """
     if not isinstance(model, TrainedModel):
         raise ValueError("model must be a TrainedModel instance")
@@ -378,14 +349,6 @@ def encode(model, data, all_layers=False):
             f"samples have length {data.shape[1]} but the model was trained on "
             f"length {model.data_dims[1]}"
         )
-    toep = toeplitz_stack(data, config.num_kernels)
-    stacks = []
-    current = toep
-    for l, bank in enumerate(model.transforms):
-        response = _forward(current, bank, l == 0)
-        current = prox_nonneg_l1(response, config.beta, 1.0)
-        stacks.append(current)
-    if all_layers:
-        return stacks
-    m = data.shape[0]
-    return stacks[-1].reshape(m, -1)
+    for last in _walk(data, model.transforms, config.beta):
+        pass
+    return last.reshape(data.shape[0], -1)

@@ -133,20 +133,20 @@ def load_model(path):
         )
     try:
         meta = json.loads(blob.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:
         raise ModelFileError(f"metadata blob is not valid JSON: {exc}") from exc
     try:
         raw_config = dict(meta["config"])
         samples = int(meta["samples"])
         trace = [(int(i), int(l), float(v)) for i, l, v in meta["trace"]]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ModelFileError(f"metadata blob has unexpected structure: {exc}") from exc
     try:
         newton = raw_config.pop("newton", None)
         if newton is not None:
             raw_config["newton"] = NewtonSettings(**newton)
         config = ModelConfig(**raw_config)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ModelFileError(f"metadata blob holds an invalid configuration: {exc}") from exc
     if config.num_layers != num_layers or config.num_kernels != k:
         raise ModelFileError("metadata disagrees with the binary dimension header")

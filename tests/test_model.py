@@ -1,4 +1,4 @@
-"""Model objective, alternating trainer, initialization and encoder."""
+"""Model objective terms, alternating trainer, initialization and encoder."""
 
 import tracemalloc
 from unittest import mock
@@ -12,10 +12,10 @@ from dctl.model import (
     TrainedModel,
     TrainingError,
     _forward,
-    _objective_terms,
+    _layer_terms,
+    _objective_sum,
     encode,
     init_model,
-    objective,
     train,
 )
 from dctl.prox import (
@@ -75,6 +75,8 @@ def test_config_validation():
     with pytest.raises(ValueError):
         ModelConfig(lam=-0.1)
     with pytest.raises(ValueError):
+        ModelConfig(lam=0.0)
+    with pytest.raises(ValueError):
         ModelConfig(beta=-0.1)
     with pytest.raises(ValueError):
         ModelConfig(gamma1=0.0)
@@ -94,17 +96,13 @@ def test_config_validation():
 def test_objective_perfect_fit_is_zero():
     rng = np.random.default_rng(40)
     data = np.abs(rng.standard_normal((3, 8)))
-    config = ModelConfig(num_layers=1, num_kernels=2, mu=0.0, lam=0.0, beta=0.0)
-    coeffs = [toeplitz_stack(data, 2)]  # equals the identity-bank response
-    assert objective([np.eye(2)], coeffs, data, config) == 0.0
-
-
-def test_objective_negative_coefficient_is_infinite():
-    rng = np.random.default_rng(41)
-    data, transforms, coeffs = feasible_instance(rng, 1, 2, 8, 2)
-    coeffs[0][0, 3, 1] = -1e-9
-    config = ModelConfig(num_layers=1, num_kernels=2)
-    assert objective(transforms, coeffs, data, config) == np.inf
+    # with mu = 0 the identity bank's regularizer is -lam * log(1) = 0
+    config = ModelConfig(num_layers=1, num_kernels=2, mu=0.0, beta=0.0)
+    toep = toeplitz_stack(data, 2)
+    coeffs = [toep]  # equals the identity-bank response
+    terms = _layer_terms(toep, [np.eye(2)], coeffs, config)
+    assert terms[0] == [0.0]
+    assert _objective_sum(*terms, config.beta) == 0.0
 
 
 def test_objective_matches_direct_oracle():
@@ -114,22 +112,11 @@ def test_objective_matches_direct_oracle():
         mu, lam, beta = rng.uniform(0.01, 1.0, size=3)
         config = ModelConfig(num_layers=2, num_kernels=2,
                              mu=float(mu), lam=float(lam), beta=float(beta))
-        ours = objective(transforms, coeffs, data, config)
+        terms = _layer_terms(toeplitz_stack(data, 2), transforms, coeffs, config)
+        ours = _objective_sum(*terms, config.beta)
         ref = objective_direct(data, transforms, coeffs,
                                float(mu), float(lam), float(beta))
         assert abs(ours - ref) <= 1e-10 * max(1.0, abs(ref))
-
-
-def test_objective_dimension_errors():
-    rng = np.random.default_rng(43)
-    data, transforms, coeffs = feasible_instance(rng, 2, 2, 8, 2)
-    config = ModelConfig(num_layers=2, num_kernels=2)
-    with pytest.raises(ValueError):
-        objective(transforms[:1], coeffs, data, config)
-    with pytest.raises(ValueError):
-        objective([np.eye(3), np.eye(3)], coeffs, data, config)
-    with pytest.raises(ValueError):
-        objective(transforms, [c[:, :-1, :] for c in coeffs], data, config)
 
 
 # ------------------------------------------------------------ initialization
@@ -145,14 +132,6 @@ def test_init_is_deterministic():
         assert np.array_equal(a, b)
     for a, b in zip(z1, z2):
         assert np.array_equal(a, b)
-
-
-def test_init_epsilon_zero_gives_identity():
-    data = np.random.default_rng(45).standard_normal((2, 8))
-    config = ModelConfig(num_layers=3, num_kernels=4)
-    transforms, _ = init_model(config, data, epsilon=0.0)
-    for bank in transforms:
-        assert np.array_equal(bank, np.eye(4))
 
 
 def test_init_singular_values_bounded_below():
@@ -172,12 +151,6 @@ def test_init_coeffs_are_rectified_forward():
     first = np.maximum(np.einsum("mnj,jk->mnk", toep, transforms[0]), 0.0)
     assert np.array_equal(coeffs[0], first)
     assert all(z.min() >= 0.0 for z in coeffs)
-
-
-def test_init_rejects_negative_epsilon():
-    data = np.zeros((1, 8))
-    with pytest.raises(ValueError):
-        init_model(ModelConfig(num_kernels=4), data, epsilon=-0.1)
 
 
 # -------------------------------------------------------------- layer forward
@@ -288,7 +261,8 @@ def test_train_trace_equals_full_objective_bitwise():
         assert len(snapshots) == len(model.training_trace) == 1 + 3 * layers
         toep = toeplitz_stack(signals, 4)
         for (transforms, coeffs), entry in zip(snapshots, model.training_trace):
-            assert entry[2] == float(_objective_terms(toep, transforms, coeffs, config))
+            terms = _layer_terms(toep, transforms, coeffs, config)
+            assert entry[2] == float(_objective_sum(*terms, config.beta))
 
 
 def test_train_guard_names_transform_step_that_raised_objective():
@@ -419,10 +393,6 @@ def test_encode_deterministic_and_shapes():
     second = encode(model, signals)
     assert np.array_equal(first, second)
     assert first.shape == (8, 16 * 4)
-    stacks = encode(model, signals, all_layers=True)
-    assert len(stacks) == 2
-    assert all(stack.shape == (8, 16, 4) for stack in stacks)
-    assert np.array_equal(stacks[-1].reshape(8, -1), first)
 
 
 def test_long_signals_train_and_encode_in_linear_memory():
@@ -438,6 +408,26 @@ def test_long_signals_train_and_encode_in_linear_memory():
         tracemalloc.stop()
     assert features.shape == (4, 4096 * 8)
     assert peak < 64 * 2**20
+
+
+def encode_peak_ratio(layers):
+    data = np.random.default_rng(55).standard_normal((400, 64))
+    model = identity_model(layers, 8, 64)
+    tracemalloc.start()
+    try:
+        features = encode(model, data)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak / features.nbytes
+
+
+def test_encode_memory_does_not_grow_with_depth():
+    # one (M, N, K) layer stack is alive at a time, plus the forward
+    # response and the shrink's operands
+    ratios = {layers: encode_peak_ratio(layers) for layers in (1, 3, 4)}
+    assert ratios[3] < 4.5
+    assert abs(ratios[4] - ratios[1]) <= 0.25
 
 
 def test_encode_rejects_wrong_length_and_type():
