@@ -49,13 +49,18 @@ def _check_labels(labels, count, name="labels"):
     return arr
 
 
-def _nearest(train, test, k):
-    """The first k columns of ``argsort(cdist(test, train), kind="stable")``,
-    bit for bit; ``knn_classify`` gives the argument."""
+# Test rows screened per GEMM.  Each row's bound stands alone, so the
+# blocks change no neighbour and keep the screen's scratch at three
+# (NEAREST_BLOCK, n_train) float64 arrays whatever the number of test rows.
+NEAREST_BLOCK = 256
+
+
+def _candidates(train, train_sq, test, k):
+    """(len(test), len(train)) mask of the training rows that
+    ``knn_classify``'s bound cannot rule out of each test row's k nearest."""
     info = np.finfo(np.float64)
     dims = train.shape[1]
     with np.errstate(over="ignore", invalid="ignore"):
-        train_sq = np.einsum("ij,ij->i", train, train)
         test_sq = np.einsum("ij,ij->i", test, test)
         estimate = test @ train.T
         estimate *= -2.0
@@ -69,11 +74,21 @@ def _nearest(train, test, k):
         estimate -= slack
         candidates = estimate <= upper[:, k - 1:k]
     candidates[~finite] = True
+    return candidates
+
+
+def _nearest(train, test, k):
+    """The first k columns of ``argsort(cdist(test, train), kind="stable")``,
+    bit for bit; ``knn_classify`` gives the argument."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        train_sq = np.einsum("ij,ij->i", train, train)
     order = np.empty((test.shape[0], k), dtype=np.intp)
-    for i in range(test.shape[0]):
-        rows = np.flatnonzero(candidates[i])
-        dists = cdist(test[i:i + 1], train[rows])[0]
-        order[i] = rows[np.argsort(dists, kind="stable")[:k]]
+    for start in range(0, test.shape[0], NEAREST_BLOCK):
+        block = test[start:start + NEAREST_BLOCK]
+        for i, mask in enumerate(_candidates(train, train_sq, block, k), start):
+            rows = np.flatnonzero(mask)
+            dists = cdist(test[i:i + 1], train[rows])[0]
+            order[i] = rows[np.argsort(dists, kind="stable")[:k]]
     return order
 
 
@@ -83,8 +98,9 @@ def knn_classify(train_features, train_labels, test_features, k):
     Vote ties go to the smallest label index.  The neighbours are the first
     k of a stable sort of ``cdist`` distances, so equal distances resolve
     to the earliest training row.  They are found bit for bit without the
-    full ``cdist`` matrix: one GEMM bounds every squared distance, and
-    ``cdist`` re-ranks only the rows the bounds cannot rule out.
+    full ``cdist`` matrix: a GEMM per block of ``NEAREST_BLOCK`` test rows
+    bounds every squared distance, and ``cdist`` re-ranks only the rows
+    the bounds cannot rule out.
 
     Bound.  For a test row q and a training row t in D dimensions, let
     S = ‖q‖² + ‖t‖², d² = ‖q − t‖² ≤ 2S and u = eps/2.  The estimate
@@ -221,12 +237,18 @@ def _pca_basis(centered, rank):
     back to feature space and normalized.  Directions whose eigenvalue is
     zero (to round-off) are dropped, since every score along them is zero,
     so fewer than ``rank`` rows may come back.
+
+    ``eigh`` gets the Gram's transpose: numpy forms XᵀX (or XXᵀ) with a
+    symmetric rank-k update and mirrors it exactly, so the transpose is
+    the same matrix, and being Fortran-ordered it goes to LAPACK without
+    the copy f2py makes of a C-ordered array (an extra Gram-sized block,
+    8 MiB for 1,024 features).
     """
     m, d = centered.shape
     small = min(m, d)
     rank = min(rank, small)
     gram = centered.T @ centered if d <= m else centered @ centered.T
-    evals, evecs = eigh(gram, subset_by_index=(small - rank, small - 1),
+    evals, evecs = eigh(gram.T, subset_by_index=(small - rank, small - 1),
                         overwrite_a=True, check_finite=False)
     evals, evecs = evals[::-1], evecs[:, ::-1]
     evecs = evecs[:, evals > evals[0] * max(m, d) * np.finfo(np.float64).eps]

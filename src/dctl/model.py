@@ -2,10 +2,11 @@
 
 The model is a stack of L square kernel banks T_1 ... T_L (each (K, K),
 columns are kernels) with per-sample coefficient blocks Z_1 ... Z_L (each
-(N, K)).  Layer 1 responds to the raw signal through its Toeplitz view
-(column k of the response is kernel k convolved with the signal); every
-deeper layer convolves channel k of the previous layer's coefficients
-with its kernel k, never mixing channels.
+(N, K)).  Every layer runs one tap kernel, ``channelwise_forward``:
+layer 1 convolves the raw signal with each of its kernels (the signal
+broadcast to K channels, a view), and every deeper layer convolves
+channel k of the previous layer's coefficients with its kernel k, never
+mixing channels.
 
 Training minimizes, over all banks and coefficients jointly,
 
@@ -16,8 +17,8 @@ Training minimizes, over all banks and coefficients jointly,
 by alternating proximal block updates in the order T_1, Z_1, ..., T_L,
 Z_L, each step anchored to the previous iterate, which makes the
 objective trace non-increasing.  ``init_model`` and ``encode`` walk the
-stack one layer at a time, each layer's coefficients the shrunk forward
-response of the layer below.
+stack one layer at a time, each layer's coefficients the forward response
+of the layer below, shrunk in place.
 """
 
 from dataclasses import dataclass, field
@@ -125,15 +126,17 @@ def _check_data(data, config):
     return arr
 
 
-def _forward(prev, bank, first_layer):
-    if first_layer:
-        # (M, N, J) Toeplitz views times (J, K) bank -> (M, N, K) responses
-        return np.einsum("mnj,jk->mnk", prev, bank)
+def _forward(prev, bank):
+    """(M, N, K) response of a layer to the (M, N, K) layer below, or to
+    the (M, N) data, which every kernel of layer 1 reads."""
+    if prev.ndim == 2:
+        prev = np.broadcast_to(prev[:, :, None], prev.shape + bank.shape[1:])
     return channelwise_forward(prev, bank)
 
 
 def _fit(response, z):
-    return 0.5 * np.sum((response - z) ** 2)
+    diff = response - z
+    return 0.5 * np.sum(np.square(diff, out=diff))
 
 
 def _bank_reg(bank, config):
@@ -144,13 +147,10 @@ def _bank_reg(bank, config):
     return config.mu * np.sum(bank * bank) - config.lam * np.sum(np.log(svals))
 
 
-def _layer_terms(toep, transforms, coeffs, config):
+def _layer_terms(data, transforms, coeffs, config):
     """Per-layer objective terms: data fits, bank regularizers, unscaled l1 sums."""
-    prevs = [toep] + list(coeffs[:-1])
-    fits = [
-        _fit(_forward(prev, bank, l == 0), z)
-        for l, (prev, bank, z) in enumerate(zip(prevs, transforms, coeffs))
-    ]
+    prevs = [data] + list(coeffs[:-1])
+    fits = [_fit(_forward(prev, bank), z) for prev, bank, z in zip(prevs, transforms, coeffs)]
     regs = [_bank_reg(bank, config) for bank in transforms]
     l1s = [float(np.sum(np.abs(z))) for z in coeffs]
     return fits, regs, l1s
@@ -166,10 +166,12 @@ def _objective_sum(fits, regs, l1s, beta):
 
 def _walk(data, transforms, beta):
     """Yield each layer's coefficients ``prox_nonneg_l1(forward, beta, 1)``
-    in layer order, the layer below the only other stack alive."""
-    current = toeplitz_stack(data, len(transforms[0]))
-    for l, bank in enumerate(transforms):
-        current = prox_nonneg_l1(_forward(current, bank, l == 0), beta, 1.0)
+    in layer order; the shrink overwrites the fresh response, so the layer
+    below is the only other stack alive."""
+    current = data
+    for bank in transforms:
+        response = _forward(current, bank)
+        current = prox_nonneg_l1(response, beta, 1.0, out=response)
         yield current
 
 
@@ -196,10 +198,12 @@ def init_model(config, data):
     return transforms, list(_walk(data, transforms, 0.0))
 
 
-def _transform_inputs(layer, transforms, coeffs, toep, config):
+def _transform_inputs(layer, transforms, coeffs, data, config):
     """Assemble the quadratic data for the bank update of one layer.
 
-    Layer 1 has a single shared Gram matrix, so the subproblem is exact.
+    Layer 1 has a single shared Gram matrix, so the subproblem is exact;
+    it and the cross term are BLAS products of the data's Toeplitz stack
+    viewed as one (M N, K) matrix, a copy alive only during this call.
     Deeper layers have one Gram matrix per channel, a BLAS product of one
     channel's contiguous copy of the ``toeplitz_windows`` of the
     coefficients below at a time (O(M N K) memory); those are replaced by
@@ -210,8 +214,10 @@ def _transform_inputs(layer, transforms, coeffs, toep, config):
     k = config.num_kernels
     anchor = transforms[layer]
     if layer == 0:
-        gram = np.einsum("mnj,mnl->jl", toep, toep)
-        cross = np.einsum("mnj,mnl->jl", toep, coeffs[0])
+        m, n = data.shape
+        windows = toeplitz_stack(data, k).reshape(m * n, k)
+        gram = windows.T @ windows
+        cross = windows.T @ coeffs[0].reshape(m * n, k)
         return TransformUpdateInputs(gram, cross, anchor, config.mu, config.lam, config.gamma1)
     prev = coeffs[layer - 1]
     curr = coeffs[layer]
@@ -247,6 +253,25 @@ def _descended(before, fits, regs, l1s, beta, where):
     return after
 
 
+def _newton_step(layer, transforms, coeffs, below, config, where):
+    """Projected Newton update of an inner layer's coefficients against the
+    response ``below`` and the layer above, or TrainingError."""
+    quad = CoeffQuadratics(below, transforms[layer + 1], coeffs[layer + 1])
+    try:
+        result = projected_newton_coeffs(
+            coeffs[layer], quad, config.beta, config.gamma2, config.newton
+        )
+    except NumericalConditioningError as exc:
+        raise TrainingError(f"{where}, coefficient update: {exc}") from exc
+    if not result.converged:
+        raise TrainingError(
+            f"{where}, coefficient update: projected Newton did not converge "
+            f"to grad_tol={config.newton.grad_tol:g} within "
+            f"{config.newton.max_iters} iterations"
+        )
+    return result.coeffs
+
+
 def train(data, config):
     """Alternating proximal minimization of the joint objective.
 
@@ -270,11 +295,10 @@ def train(data, config):
     data = _check_data(data, config)
     n_layers = config.num_layers
     inv_g2 = 1.0 / config.gamma2
-    toep = toeplitz_stack(data, config.num_kernels)
     transforms, coeffs = init_model(config, data)
     # cached per-layer terms; an update to layer l changes only fit_l,
     # reg_l, l1_l and fit_{l+1}; _objective_sum fixes the summation order
-    fits, regs, l1s = _layer_terms(toep, transforms, coeffs, config)
+    fits, regs, l1s = _layer_terms(data, transforms, coeffs, config)
     value = float(_objective_sum(fits, regs, l1s, config.beta))
     trace = [(0, 0, value)]
     previous = value
@@ -283,36 +307,26 @@ def train(data, config):
             where = f"iteration {outer}, layer {layer + 1}"
             try:
                 transforms[layer] = update_transform(
-                    _transform_inputs(layer, transforms, coeffs, toep, config)
+                    _transform_inputs(layer, transforms, coeffs, data, config)
                 )
             except (NumericalConditioningError, np.linalg.LinAlgError) as exc:
                 raise TrainingError(f"{where}, transform update: {exc}") from exc
-            prev = toep if layer == 0 else coeffs[layer - 1]
-            below = _forward(prev, transforms[layer], layer == 0)
+            below = _forward(data if layer == 0 else coeffs[layer - 1], transforms[layer])
             fits[layer] = _fit(below, coeffs[layer])
             regs[layer] = _bank_reg(transforms[layer], config)
             value = _descended(value, fits, regs, l1s, config.beta, f"{where}, transform update")
             if layer == n_layers - 1:
-                shrunk = prox_nonneg_l1(inv_g2 * coeffs[layer] + below, config.beta, 1.0)
-                coeffs[layer] = shrunk / (1.0 + inv_g2)
+                target = inv_g2 * coeffs[layer]
+                target += below
+                coeffs[layer] = prox_nonneg_l1(target, config.beta, 1.0, out=target)
+                coeffs[layer] /= 1.0 + inv_g2
             else:
-                quad = CoeffQuadratics(below, transforms[layer + 1], coeffs[layer + 1])
-                try:
-                    result = projected_newton_coeffs(
-                        coeffs[layer], quad, config.beta, config.gamma2, config.newton
-                    )
-                except NumericalConditioningError as exc:
-                    raise TrainingError(f"{where}, coefficient update: {exc}") from exc
-                if not result.converged:
-                    raise TrainingError(
-                        f"{where}, coefficient update: projected Newton did not converge "
-                        f"to grad_tol={config.newton.grad_tol:g} within "
-                        f"{config.newton.max_iters} iterations"
-                    )
-                coeffs[layer] = result.coeffs
-                above = _forward(coeffs[layer], transforms[layer + 1], False)
-                fits[layer + 1] = _fit(above, coeffs[layer + 1])
+                coeffs[layer] = _newton_step(layer, transforms, coeffs, below, config, where)
+                fits[layer + 1] = _fit(
+                    _forward(coeffs[layer], transforms[layer + 1]), coeffs[layer + 1]
+                )
             fits[layer] = _fit(below, coeffs[layer])
+            del below  # not alive during the next layer's bank update
             l1s[layer] = float(np.sum(np.abs(coeffs[layer])))
             value = _descended(value, fits, regs, l1s, config.beta, f"{where}, coefficient update")
             trace.append((outer, layer + 1, value))
@@ -337,8 +351,8 @@ def encode(model, data):
     0.5 * ||response - z||^2 + beta * ||z||_1 over z >= 0.  Returns the
     flattened last-layer coefficients, one row of length N * K per sample
     (row-major over positions, channel fastest).  Only one layer's stack
-    is kept at a time, so the peak memory is about four times the result
-    at any depth.
+    is kept at a time and each shrink overwrites its response, so the
+    peak memory is about twice the result at any depth.
     """
     if not isinstance(model, TrainedModel):
         raise ValueError("model must be a TrainedModel instance")

@@ -100,6 +100,21 @@ def _need(data, offset, count, what):
     return data[offset : offset + count], offset + count
 
 
+# Python types json.loads gives a field of each type (a bool is no number)
+_JSON_TYPES = {int: (int,), float: (int, float)}
+
+
+def _check_json_types(cls, values):
+    """TypeError unless each value under an int or float field of the
+    dataclass ``cls`` has that field's JSON type; the dataclasses check
+    values only, and 4.0 == 4 passes them."""
+    for f in dataclasses.fields(cls):
+        accepted = _JSON_TYPES.get(f.type)
+        if accepted and f.name in values and type(values[f.name]) not in accepted:
+            raise TypeError(f"{f.name} must be a JSON {f.type.__name__}, "
+                            f"got {values[f.name]!r}")
+
+
 def load_model(path):
     """Read a model file back into a TrainedModel, verifying every layer."""
     with open(path, "rb") as handle:
@@ -137,14 +152,22 @@ def load_model(path):
         raise ModelFileError(f"metadata blob is not valid JSON: {exc}") from exc
     try:
         raw_config = dict(meta["config"])
-        samples = int(meta["samples"])
-        trace = [(int(i), int(l), float(v)) for i, l, v in meta["trace"]]
+        samples = meta["samples"]
+        trace = [(i, l, v) for i, l, v in meta["trace"]]
+        if type(samples) is not int or any(
+            type(i) is not int or type(l) is not int or type(v) not in _JSON_TYPES[float]
+            for i, l, v in trace
+        ):
+            raise TypeError("samples and trace indices must be integers, trace values numbers")
+        trace = [(i, l, float(v)) for i, l, v in trace]
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ModelFileError(f"metadata blob has unexpected structure: {exc}") from exc
     try:
         newton = raw_config.pop("newton", None)
         if newton is not None:
+            _check_json_types(NewtonSettings, dict(newton))
             raw_config["newton"] = NewtonSettings(**newton)
+        _check_json_types(ModelConfig, raw_config)
         config = ModelConfig(**raw_config)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ModelFileError(f"metadata blob holds an invalid configuration: {exc}") from exc

@@ -80,13 +80,15 @@ class NewtonSettings:
             raise ValueError("active_set_eps must be >= 0")
 
 
-def prox_nonneg_l1(v, beta, weight):
+def prox_nonneg_l1(v, beta, weight, out=None):
     """Prox of ``(beta * |z| + indicator(z >= 0)) / weight`` at ``v``.
 
     Minimizes (weight / 2) * (z - v)^2 + beta * z over z >= 0, which has
     the one-sided soft-threshold solution max(v - beta / weight, 0).
     At ``beta == 0``, which ``ModelConfig`` allows, it is the projection
-    max(v, 0).  ``v`` may be a scalar or an array (applied entrywise).
+    max(v, 0).  ``v`` may be a scalar or an array (applied entrywise);
+    an array ``out``, which may be ``v`` itself, receives the result with
+    the same bits and no temporary.
     """
     beta = float(beta)
     weight = float(weight)
@@ -95,7 +97,7 @@ def prox_nonneg_l1(v, beta, weight):
     if not (np.isfinite(weight) and weight > 0):
         raise ValueError("weight must be finite and positive")
     v = np.asarray(v, dtype=np.float64)
-    out = np.maximum(v - beta / weight, 0.0)
+    out = np.maximum(np.subtract(v, beta / weight, out=out), 0.0, out=out)
     return float(out) if out.ndim == 0 else out
 
 

@@ -232,8 +232,7 @@ def test_transform_inputs_match_dense_reference():
         data = rng.standard_normal((m, n))
         transforms = [rng.standard_normal((k, k)) for _ in range(2)]
         coeffs = [np.abs(rng.standard_normal((m, n, k))) for _ in range(2)]
-        toep = toeplitz_stack(data, k)
-        first = _transform_inputs(0, transforms, coeffs, toep, config)
+        first = _transform_inputs(0, transforms, coeffs, data, config)
         views = [_dense_windows(data[i], k) for i in range(m)]
         gram = sum(v.T @ v for v in views)
         cross = sum(v.T @ coeffs[0][i] for i, v in enumerate(views))
@@ -241,7 +240,7 @@ def test_transform_inputs_match_dense_reference():
         assert np.max(np.abs(first.cross - cross)) < 1e-12
         # deeper layer: per-channel Gram matrices G_c, cross column c is
         # gram @ a_c - G_c @ a_c + sum_m X_mc^T z_mc for anchor column a_c
-        deep = _transform_inputs(1, transforms, coeffs, toep, config)
+        deep = _transform_inputs(1, transforms, coeffs, data, config)
         anchor = transforms[1]
         gram = np.zeros((k, k))
         cross = np.zeros((k, k))

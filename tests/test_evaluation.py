@@ -1,6 +1,7 @@
 """Nearest-neighbour and centroid classifiers, k-means, ARI, timing."""
 
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -151,6 +152,22 @@ def test_knn_screen_hands_cdist_a_few_rows(monkeypatch):
     sizes.clear()
     knn_classify(1e154 * train, labels, 1e154 * test, 3)
     assert min(sizes) == 300
+
+
+def test_knn_scratch_is_linear_in_test_rows():
+    # the screen holds three (block, n_train) float64 arrays and a mask,
+    # not three (n_test, n_train) arrays
+    rng = np.random.default_rng(12)
+    train = rng.standard_normal((400, 4))
+    labels = rng.integers(0, 3, 400)
+    test = rng.standard_normal((8 * dctl.evaluation.NEAREST_BLOCK, 4))
+    tracemalloc.start()
+    try:
+        knn_classify(train, labels, test, 3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * dctl.evaluation.NEAREST_BLOCK * train.shape[0] * 8
 
 
 def test_knn_invariant_under_orthogonal_maps():
@@ -331,6 +348,27 @@ def test_pca_basis_spans_top_singular_subspace(case):
     _, _, vh = np.linalg.svd(centered, full_matrices=False)
     top = vh[:kept]
     assert np.linalg.norm(basis.T @ basis - top.T @ top, 2) <= 1e-10
+
+
+@pytest.mark.parametrize("shape", [(3000, 256), (400, 3000)])
+def test_pca_basis_hands_eigh_the_gram_without_a_copy(shape, monkeypatch):
+    rng = np.random.default_rng(18)
+    x = rng.standard_normal(shape) * np.linspace(3.0, 0.5, shape[1])
+    centered = x - x.mean(axis=0)
+    small = min(shape)
+    tracemalloc.start()
+    try:
+        basis = _pca_basis(centered, 3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    gram_bytes = small * small * 8
+    assert peak - gram_bytes < 0.25 * gram_bytes
+    # the transpose is the same matrix: a C-ordered copy gives the same bits
+    eigh = dctl.evaluation.eigh
+    monkeypatch.setattr(dctl.evaluation, "eigh",
+                        lambda a, **kwargs: eigh(np.array(a, order="C"), **kwargs))
+    assert _pca_basis(centered, 3).tobytes() == basis.tobytes()
 
 
 @pytest.mark.parametrize("case", sorted(_pca_inputs()))

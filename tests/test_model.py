@@ -6,7 +6,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from dctl.conv import conv_same, toeplitz_stack
+from dctl.conv import channelwise_forward, conv_same, toeplitz_stack
 from dctl.model import (
     ModelConfig,
     TrainedModel,
@@ -98,9 +98,8 @@ def test_objective_perfect_fit_is_zero():
     data = np.abs(rng.standard_normal((3, 8)))
     # with mu = 0 the identity bank's regularizer is -lam * log(1) = 0
     config = ModelConfig(num_layers=1, num_kernels=2, mu=0.0, beta=0.0)
-    toep = toeplitz_stack(data, 2)
-    coeffs = [toep]  # equals the identity-bank response
-    terms = _layer_terms(toep, [np.eye(2)], coeffs, config)
+    coeffs = [toeplitz_stack(data, 2)]  # equals the identity-bank response
+    terms = _layer_terms(data, [np.eye(2)], coeffs, config)
     assert terms[0] == [0.0]
     assert _objective_sum(*terms, config.beta) == 0.0
 
@@ -112,7 +111,7 @@ def test_objective_matches_direct_oracle():
         mu, lam, beta = rng.uniform(0.01, 1.0, size=3)
         config = ModelConfig(num_layers=2, num_kernels=2,
                              mu=float(mu), lam=float(lam), beta=float(beta))
-        terms = _layer_terms(toeplitz_stack(data, 2), transforms, coeffs, config)
+        terms = _layer_terms(data, transforms, coeffs, config)
         ours = _objective_sum(*terms, config.beta)
         ref = objective_direct(data, transforms, coeffs,
                                float(mu), float(lam), float(beta))
@@ -147,9 +146,13 @@ def test_init_coeffs_are_rectified_forward():
     data = rng.standard_normal((3, 12))
     config = ModelConfig(num_layers=2, num_kernels=3, seed=9)
     transforms, coeffs = init_model(config, data)
-    toep = toeplitz_stack(data, 3)
-    first = np.maximum(np.einsum("mnj,jk->mnk", toep, transforms[0]), 0.0)
+    broadcast = np.broadcast_to(data[:, :, None], (3, 12, 3))
+    first = np.maximum(channelwise_forward(broadcast, transforms[0]), 0.0)
     assert np.array_equal(coeffs[0], first)
+    second = np.maximum(channelwise_forward(first, transforms[1]), 0.0)
+    assert np.array_equal(coeffs[1], second)
+    toeplitz = np.maximum(np.einsum("mnj,jk->mnk", toeplitz_stack(data, 3), transforms[0]), 0.0)
+    assert np.max(np.abs(coeffs[0] - toeplitz)) < 1e-12
     assert all(z.min() >= 0.0 for z in coeffs)
 
 
@@ -160,17 +163,20 @@ def test_layer_forward_first_layer_matches_toeplitz():
     rng = np.random.default_rng(48)
     data = rng.standard_normal((3, 10))
     bank = rng.standard_normal((3, 3))
+    out = _forward(data, bank)
+    # layer 1 is the tap kernel on the data broadcast to every channel
+    broadcast = np.broadcast_to(data[:, :, None], (3, 10, 3))
+    assert np.array_equal(out, channelwise_forward(broadcast, bank))
     toep = toeplitz_stack(data, 3)
-    out = _forward(toep, bank, first_layer=True)
     for m in range(3):
-        assert np.allclose(out[m], toep[m] @ bank, atol=1e-12)
+        assert np.max(np.abs(out[m] - toep[m] @ bank)) < 1e-12
 
 
 def test_layer_forward_deep_layer_convolves_channels():
     rng = np.random.default_rng(49)
     prev = rng.standard_normal((2, 10, 3))
     bank = rng.standard_normal((3, 3))
-    out = _forward(prev, bank, first_layer=False)
+    out = _forward(prev, bank)
     for m in range(2):
         for k in range(3):
             assert np.allclose(out[m, :, k], conv_same(prev[m, :, k], bank[:, k]),
@@ -259,9 +265,8 @@ def test_train_trace_equals_full_objective_bitwise():
             model = train(signals, config)
         snapshots.append([[x.copy(order="K") for x in part] for part in state])
         assert len(snapshots) == len(model.training_trace) == 1 + 3 * layers
-        toep = toeplitz_stack(signals, 4)
         for (transforms, coeffs), entry in zip(snapshots, model.training_trace):
-            terms = _layer_terms(toep, transforms, coeffs, config)
+            terms = _layer_terms(signals, transforms, coeffs, config)
             assert entry[2] == float(_objective_sum(*terms, config.beta))
 
 
@@ -339,8 +344,9 @@ def test_train_permutation_equivariance():
 
 
 def identity_model(layers, k, n, beta=0.0):
-    # layer 1 multiplies the Toeplitz view, so its identity is eye(K);
-    # deeper layers convolve channel-wise, so theirs is an impulse kernel
+    # layer 1 convolves the signal with every kernel, so eye(K) gives its
+    # K shifted copies, the Toeplitz view; deeper layers convolve
+    # channel-wise, so their identity is an impulse kernel
     impulse = np.zeros((k, k))
     impulse[(k - 1) // 2, :] = 1.0
     banks = [np.eye(k)] + [impulse.copy() for _ in range(layers - 1)]
@@ -410,6 +416,21 @@ def test_long_signals_train_and_encode_in_linear_memory():
     assert peak < 64 * 2**20
 
 
+def test_train_memory_stays_below_nine_stacks():
+    # the data, L coefficient stacks and the transient forward responses;
+    # a finished response or Toeplitz copy kept alive shows up as a stack
+    signals, _ = generate_synthetic(4, 50, 128, noise_sigma=0.3, seed=1)
+    config = ModelConfig(num_layers=3, num_kernels=8, max_outer_iters=1,
+                         objective_tol=0.0)
+    tracemalloc.start()
+    try:
+        train(signals, config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 9 * signals.size * 8 * 8
+
+
 def encode_peak_ratio(layers):
     data = np.random.default_rng(55).standard_normal((400, 64))
     model = identity_model(layers, 8, 64)
@@ -423,11 +444,13 @@ def encode_peak_ratio(layers):
 
 
 def test_encode_memory_does_not_grow_with_depth():
-    # one (M, N, K) layer stack is alive at a time, plus the forward
-    # response and the shrink's operands
-    ratios = {layers: encode_peak_ratio(layers) for layers in (1, 3, 4)}
-    assert ratios[3] < 4.5
-    assert abs(ratios[4] - ratios[1]) <= 0.25
+    # the (M, N, K) stack of the layer below and the response the shrink
+    # overwrites are alive at a time; layer 1 reads the (M, N) data, so a
+    # one-layer encode holds its response alone
+    ratios = {layers: encode_peak_ratio(layers) for layers in (1, 2, 3, 4)}
+    assert ratios[1] < 1.25
+    assert ratios[3] < 2.5
+    assert abs(ratios[4] - ratios[2]) <= 0.25
 
 
 def test_encode_rejects_wrong_length_and_type():

@@ -124,6 +124,12 @@ BAD_CONFIGS = {
     "lam_zero": lambda meta: meta["config"].update(lam=0.0),
     "samples_infinite": lambda meta: meta.update(samples=float("inf")),
     "trace_value_overflows_float": lambda meta: meta.update(trace=[[0, 0, 10**400]]),
+    # equal values of the wrong JSON type
+    "num_kernels_float": lambda meta: meta["config"].update(num_kernels=4.0),
+    "seed_mapping": lambda meta: meta["config"].update(seed={"a": 1}),
+    "beta_boolean": lambda meta: meta["config"].update(beta=True),
+    "newton_max_iters_float": lambda meta: meta["config"]["newton"].update(max_iters=50.0),
+    "samples_float": lambda meta: meta.update(samples=8.0),
     # json.dumps recurses and refuses long integers, so these are raw bytes
     "nested_too_deep": lambda meta: b"[" * 100_000,
     "integer_too_long": lambda meta: b'{"samples": 1' + b"0" * 5000 + b"}",

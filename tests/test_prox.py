@@ -132,6 +132,16 @@ def test_prox_nonneg_l1_rejects_bad_parameters():
             prox_nonneg_l1(1.0, beta, weight)
 
 
+def test_prox_nonneg_l1_in_place_keeps_the_bits():
+    rng = np.random.default_rng(24)
+    for beta, weight in ((0.0, 1.0), (0.3, 1.0), (0.7, 3.0)):
+        v = rng.standard_normal((4, 6, 3))
+        expected = prox_nonneg_l1(v, beta, weight)
+        out = prox_nonneg_l1(v, beta, weight, out=v)
+        assert out is v
+        assert out.tobytes() == expected.tobytes()
+
+
 # ------------------------------------------------------------- log-det  prox
 
 
