@@ -225,6 +225,16 @@ def looks_labeled(values):
     return bool(np.all(np.abs(last - np.rint(last)) < 1e-9) and np.all(last >= 0))
 
 
+def _label_problem(values):
+    """What keeps float ``values`` from being labels, or None: a label is a
+    non-negative integer, to within 1e-9."""
+    if not np.all(np.abs(values - np.rint(values)) < 1e-9):
+        return "non-integer values"
+    if np.any(np.rint(values) < 0):
+        return "negative values"
+    return None
+
+
 def split_labels(values, labeled):
     """Split off the final integer label column when ``labeled`` is set."""
     if not labeled:
@@ -232,12 +242,10 @@ def split_labels(values, labeled):
     if values.shape[1] < 2:
         raise DatasetFormatError("labeled data needs at least two columns")
     last = values[:, -1]
-    if np.any(np.abs(last - np.rint(last)) >= 1e-9):
-        raise DatasetFormatError("label column contains non-integer values")
-    labels = np.rint(last).astype(np.int64)
-    if np.any(labels < 0):
-        raise DatasetFormatError("label column contains negative values")
-    return np.ascontiguousarray(values[:, :-1]), labels
+    problem = _label_problem(last)
+    if problem:
+        raise DatasetFormatError(f"label column contains {problem}")
+    return np.ascontiguousarray(values[:, :-1]), np.rint(last).astype(np.int64)
 
 
 def normalize_per_sample(features):
@@ -318,7 +326,12 @@ def generate_synthetic(classes, per_class, length, motif_count=3, noise_sigma=0.
 
 
 def write_csv(path, features, labels=None, header=False):
-    """Write a feature matrix (plus optional final label column) as CSV."""
+    """Write a feature matrix (plus optional final label column) as CSV.
+
+    Labels follow the rule :func:`split_labels` reads them by: integers,
+    or floats within 1e-9 of one (written as that integer), and never
+    negative; anything else is a ValueError.
+    """
     features = np.asarray(features, dtype=np.float64)
     if features.ndim != 2:
         raise ValueError("features must be 2-D")
@@ -326,6 +339,14 @@ def write_csv(path, features, labels=None, header=False):
         labels = np.asarray(labels)
         if labels.shape != (features.shape[0],):
             raise ValueError("labels length must match the number of rows")
+        if labels.dtype.kind not in "iu":
+            floats = labels.astype(np.float64)
+            problem = _label_problem(floats)
+            if problem:
+                raise ValueError(f"labels contain {problem}")
+            labels = np.rint(floats).astype(np.int64)
+        elif np.any(labels < 0):
+            raise ValueError("labels contain negative values")
     # the bytes csv.writer gives: no cell needs quoting, rows end in "\r\n"
     with open(path, "w", newline="") as handle:
         if header:

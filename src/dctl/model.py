@@ -19,6 +19,11 @@ Z_L, each step anchored to the previous iterate, which makes the
 objective trace non-increasing.  ``init_model`` and ``encode`` walk the
 stack one layer at a time, each layer's coefficients the forward response
 of the layer below, shrunk in place.
+
+Coefficient stacks are (M, N, K) arrays laid out channel-major (see
+:mod:`dctl.conv`), so the per-channel convolutions and Newton solves read
+contiguous channels; ``encode`` writes its last layer position-major so
+that the (M, N K) features it returns are a view of it.
 """
 
 from dataclasses import dataclass, field
@@ -33,6 +38,7 @@ from .prox import (
     NewtonSettings,
     NumericalConditioningError,
     TransformUpdateInputs,
+    _int_field,
     projected_newton_coeffs,
     prox_nonneg_l1,
     update_transform,
@@ -59,7 +65,8 @@ class ModelConfig:
     mu weighs the ridge penalty on each bank, lam the log-det penalty
     that keeps banks invertible, beta the l1 sparsity penalty on the
     coefficients; gamma1/gamma2 are the proximal anchor weights of the
-    bank/coefficient updates.
+    bank/coefficient updates.  The integer fields are stored as ``int``
+    (numpy integers are accepted); the seed must be non-negative.
     """
 
     num_layers: int = 3
@@ -75,10 +82,10 @@ class ModelConfig:
     newton: NewtonSettings = field(default_factory=NewtonSettings)
 
     def __post_init__(self):
-        if self.num_layers < 1:
-            raise ValueError("num_layers must be >= 1")
-        if self.num_kernels < 1:
-            raise ValueError("num_kernels must be >= 1")
+        _int_field(self, "num_layers", 1)
+        _int_field(self, "num_kernels", 1)
+        _int_field(self, "max_outer_iters", 1)
+        _int_field(self, "seed", 0)
         if not (np.isfinite(self.mu) and self.mu >= 0):
             raise ValueError("mu must be finite and >= 0")
         if not (np.isfinite(self.lam) and self.lam > 0):
@@ -89,8 +96,6 @@ class ModelConfig:
             raise ValueError("gamma1 must be finite and positive")
         if not (np.isfinite(self.gamma2) and self.gamma2 > 0):
             raise ValueError("gamma2 must be finite and positive")
-        if self.max_outer_iters < 1:
-            raise ValueError("max_outer_iters must be >= 1")
         if self.objective_tol < 0:
             raise ValueError("objective_tol must be >= 0")
         if not isinstance(self.newton, NewtonSettings):
@@ -126,12 +131,13 @@ def _check_data(data, config):
     return arr
 
 
-def _forward(prev, bank):
+def _forward(prev, bank, out=None):
     """(M, N, K) response of a layer to the (M, N, K) layer below, or to
-    the (M, N) data, which every kernel of layer 1 reads."""
+    the (M, N) data, which every kernel of layer 1 reads; channel-major
+    unless written to ``out``."""
     if prev.ndim == 2:
         prev = np.broadcast_to(prev[:, :, None], prev.shape + bank.shape[1:])
-    return channelwise_forward(prev, bank)
+    return channelwise_forward(prev, bank, out=out)
 
 
 def _fit(response, z):
@@ -164,13 +170,18 @@ def _objective_sum(fits, regs, l1s, beta):
     return sum(fits) + sum(regs) + beta * sum(l1s)
 
 
-def _walk(data, transforms, beta):
+def _walk(data, transforms, beta, features=False):
     """Yield each layer's coefficients ``prox_nonneg_l1(forward, beta, 1)``
     in layer order; the shrink overwrites the fresh response, so the layer
-    below is the only other stack alive."""
+    below is the only other stack alive.  Every stack is channel-major
+    except, with ``features``, the last, which is position-major so that
+    its (M, N K) feature rows are a view of it."""
     current = data
-    for bank in transforms:
-        response = _forward(current, bank)
+    for depth, bank in enumerate(transforms, 1):
+        out = None
+        if features and depth == len(transforms):
+            out = np.empty(current.shape[:2] + bank.shape[1:])
+        response = _forward(current, bank, out)
         current = prox_nonneg_l1(response, beta, 1.0, out=response)
         yield current
 
@@ -350,9 +361,10 @@ def encode(model, data):
     minimizer of the single-block coefficient problem
     0.5 * ||response - z||^2 + beta * ||z||_1 over z >= 0.  Returns the
     flattened last-layer coefficients, one row of length N * K per sample
-    (row-major over positions, channel fastest).  Only one layer's stack
-    is kept at a time and each shrink overwrites its response, so the
-    peak memory is about twice the result at any depth.
+    (row-major over positions, channel fastest), a C-contiguous view of
+    the last layer, which alone is written position-major.  Only one
+    layer's stack is kept at a time and each shrink overwrites its
+    response, so the peak memory is about twice the result at any depth.
     """
     if not isinstance(model, TrainedModel):
         raise ValueError("model must be a TrainedModel instance")
@@ -363,6 +375,6 @@ def encode(model, data):
             f"samples have length {data.shape[1]} but the model was trained on "
             f"length {model.data_dims[1]}"
         )
-    for last in _walk(data, model.transforms, config.beta):
+    for last in _walk(data, model.transforms, config.beta, features=True):
         pass
     return last.reshape(data.shape[0], -1)

@@ -100,14 +100,15 @@ def _need(data, offset, count, what):
     return data[offset : offset + count], offset + count
 
 
-# Python types json.loads gives a field of each type (a bool is no number)
-_JSON_TYPES = {int: (int,), float: (int, float)}
+# Python types json.loads gives a field of each type (a bool is no number);
+# the dataclasses refuse a non-integer int field themselves
+_JSON_TYPES = {float: (int, float)}
 
 
 def _check_json_types(cls, values):
-    """TypeError unless each value under an int or float field of the
-    dataclass ``cls`` has that field's JSON type; the dataclasses check
-    values only, and 4.0 == 4 passes them."""
+    """TypeError unless each value under a float field of the dataclass
+    ``cls`` is a JSON number; the dataclasses check values only, and
+    ``True == 1.0`` passes them."""
     for f in dataclasses.fields(cls):
         accepted = _JSON_TYPES.get(f.type)
         if accepted and f.name in values and type(values[f.name]) not in accepted:

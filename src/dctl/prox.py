@@ -21,6 +21,7 @@ subproblems the alternating trainer cycles through:
   solve of their free-coordinate systems.
 """
 
+import numbers
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -28,6 +29,7 @@ import numpy as np
 import scipy.linalg
 
 # the training tap kernel: conv_same along axis 1 of rows, or its adjoint
+from .conv import channel_major
 from .conv import channelwise_forward as _conv_rows
 # unused, but bench/tracing.py's TRACE_POINTS look this name up on the module
 from .conv import conv_same_matrix  # noqa: F401
@@ -51,6 +53,20 @@ class NumericalConditioningError(RuntimeError):
     """An inner solve hit a numerically hopeless matrix or value."""
 
 
+def _int_field(config, name, minimum):
+    """Store field ``name`` of the frozen dataclass ``config`` as an ``int``
+    of at least ``minimum``, or raise ValueError naming it.  Numpy integers
+    are taken; bools and non-integers are refused, because ``True == 1``
+    and ``2.5 >= 1`` would pass a value check, and ``json`` cannot write a
+    numpy integer into a model file."""
+    value = getattr(config, name)
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}")
+    object.__setattr__(config, name, int(value))
+
+
 @dataclass(frozen=True)
 class NewtonSettings:
     """Knobs for the projected Newton coefficient solver.
@@ -68,8 +84,7 @@ class NewtonSettings:
     active_set_eps: float = 1e-10
 
     def __post_init__(self):
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
+        _int_field(self, "max_iters", 1)
         if not self.grad_tol > 0:
             raise ValueError("grad_tol must be positive")
         if not 0 < self.armijo_c < 1:
@@ -376,7 +391,8 @@ def _newton_channel(z, anchor, below, above, kernel, beta, inv_g2, st):
 
     # the active blocks: rows of z, their anchor/below/above rows, iterates,
     # responses C z and values, all filtered together when a block stops;
-    # contiguous copies, since a channel of an (M, N, K) array is strided
+    # a channel of a channel-major stack is contiguous and read in place,
+    # one of a position-major stack is strided and copied
     rows = np.arange(z.shape[0])
     zs, a, b, c = (np.ascontiguousarray(x) for x in (z, anchor, below, above))
     cz = _conv_rows(zs, kernel)
@@ -468,7 +484,9 @@ def projected_newton_coeffs(z0, quad, beta, gamma2, settings=None):
     every block takes the tiled solve.  The Armijo backtracking keeps a
     step size per block.
     Blocks whose start point already satisfies first-order optimality are
-    left untouched.  Returns the updated (M, N, K) array plus a flag that
+    left untouched.  Returns the updated (M, N, K) array, channel-major
+    (see :func:`dctl.conv.channel_major`) so that each channel's solve
+    writes one contiguous block, plus a flag that
     is False when some block hit ``max_iters`` before reaching ``grad_tol``
     or its line search ran out of step (the best iterate is still
     returned; the line search never accepts an increase, so the objective
@@ -482,7 +500,7 @@ def projected_newton_coeffs(z0, quad, beta, gamma2, settings=None):
         raise ValueError("settings must be a NewtonSettings instance")
     z0, _ = _check_coeff_args(z0, z0, quad, beta, gamma2)
     inv_g2 = 1.0 / gamma2
-    out = np.maximum(z0, 0.0)
+    out = np.maximum(z0, 0.0, out=channel_major(*z0.shape))
     converged = True
     iterations = 0
     for chan in range(z0.shape[2]):

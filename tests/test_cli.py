@@ -191,6 +191,40 @@ def test_csv_field_over_the_size_limit_is_runtime_error(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_negative_seed_is_runtime_error_naming_it(tmp_path, pipeline, capsys):
+    assert cli(["train", str(pipeline["data"]), "--model-out", str(tmp_path / "m.dctl"),
+                "--labeled", "--seed", "-1"]) == 2
+    assert capsys.readouterr().err == "error: seed must be >= 0\n"
+    assert not (tmp_path / "m.dctl").exists()
+
+
+def test_fuzzed_input_files_exit_with_a_status_not_a_traceback(tmp_path, pipeline, capsys):
+    rng = np.random.default_rng(63)
+    model = pipeline["model"].read_bytes()
+    bad_model = tmp_path / "bad.dctl"
+    bad_data = tmp_path / "bad.data"
+    out = str(tmp_path / "e.csv")
+    runs = []
+    for trial in range(4):
+        cut = bytearray(model[: int(rng.integers(0, len(model)))])
+        flipped = bytearray(model)
+        flipped[int(rng.integers(0, len(model)))] ^= 1 << int(rng.integers(0, 8))
+        for corrupt in (cut, flipped):
+            runs.append((bad_model, corrupt, ["encode", str(pipeline["data"]),
+                                              "--model", str(bad_model), "--out", out]))
+        noise = rng.integers(0, 256, int(rng.integers(1, 200)), dtype=np.uint8).tobytes()
+        runs.append((bad_data, noise, ["train", str(bad_data),
+                                       "--model-out", str(tmp_path / "m.dctl")]))
+        runs.append((bad_data, noise, ["encode", str(bad_data), "--format", "raw",
+                                       "--cols", "16", "--model", str(pipeline["model"]),
+                                       "--out", out]))
+    for path, payload, argv in runs:
+        path.write_bytes(payload)
+        assert cli(argv) in (1, 2)
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1].startswith("error:") and "Traceback" not in err
+
+
 def test_classify_needs_labels(tmp_path, capsys):
     rng = np.random.default_rng(34)
     path = tmp_path / "plain.csv"

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.ndimage import convolve1d, correlate1d
 
 from dctl.conv import (
     channelwise_forward,
@@ -191,6 +192,31 @@ def test_multichannel_linearity():
         rhs = (alpha * channelwise_forward(a, bank)
                + gamma * channelwise_forward(b, bank))
         assert np.allclose(lhs, rhs, atol=1e-10)
+
+
+def test_channelwise_forward_writes_contiguous_channels_with_per_channel_bits():
+    # the response is channel-major whatever the input's layout: each channel
+    # is one contiguous (M, N) block holding the bits of a plain per-channel
+    # scipy.ndimage pass over a C-ordered copy of that channel
+    rng = np.random.default_rng(15)
+    for m, n, k in ((5, 9, 1), (6, 20, 2), (4, 17, 5), (7, 32, 8)):
+        stack = rng.standard_normal((m, n, k))
+        layouts = (
+            stack,
+            np.ascontiguousarray(stack.transpose(2, 0, 1)).transpose(1, 2, 0),
+            np.broadcast_to(stack[:, :, :1], (m, n, k)),  # layer 1 reads the data so
+        )
+        bank = rng.standard_normal((k, k))
+        origin = (k - 1) // 2 - k // 2
+        for rows in layouts:
+            for adjoint, apply in ((False, convolve1d), (True, correlate1d)):
+                out = channelwise_forward(rows, bank, adjoint=adjoint)
+                assert out.shape == (m, n, k)
+                for c in range(k):
+                    assert out[:, :, c].flags.c_contiguous
+                    expected = apply(np.ascontiguousarray(rows[:, :, c]), bank[:, c],
+                                     axis=1, mode="constant", origin=origin)
+                    assert out[:, :, c].tobytes() == expected.tobytes()
 
 
 # ------------------------------------------------------------ window primitive

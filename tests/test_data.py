@@ -255,6 +255,40 @@ def test_raw_non_finite_rejected(tmp_path):
         load_matrix(path, fmt="raw", cols=2)
 
 
+# ------------------------------------------------------------- boundary fuzz
+
+
+CSV_ALPHABET = np.frombuffer(b"0123456789.,-+eE \t\r\n\"_nafi\x00\xe9", dtype=np.uint8)
+
+
+def fuzz_payloads(seed, count):
+    """Seeded byte strings up to 96 bytes long, every other one drawn from
+    the characters a CSV number is made of, the rest from every byte."""
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        size = int(rng.integers(0, 97))
+        if i % 2:
+            yield rng.integers(0, 256, size, dtype=np.uint8).tobytes()
+        else:
+            yield rng.choice(CSV_ALPHABET, size).tobytes()
+
+
+@pytest.mark.parametrize("fmt, cols", [("csv", None), ("raw", 1), ("raw", 2), ("raw", 5)])
+def test_random_bytes_load_or_raise_dataset_format_error(tmp_path, fmt, cols):
+    path = tmp_path / "fuzz.data"
+    loaded = 0
+    for payload in fuzz_payloads(62, 400):
+        path.write_bytes(payload)
+        try:
+            values = load_matrix(path, fmt=fmt, cols=cols)
+        except DatasetFormatError:
+            continue
+        loaded += 1
+        assert values.dtype == np.float64 and values.ndim == 2 and values.size
+        assert np.isfinite(values).all()
+    assert 0 < loaded < 400  # both outcomes are exercised
+
+
 # ------------------------------------------------------------ label handling
 
 
@@ -416,3 +450,19 @@ def test_write_csv_validation(tmp_path):
         write_csv(path, np.zeros(4))
     with pytest.raises(ValueError):
         write_csv(path, np.zeros((2, 2)), labels=[1])
+
+
+def test_write_csv_refuses_labels_split_labels_would_refuse(tmp_path):
+    path = tmp_path / "out.csv"
+    for labels, problem in (([1.7, 0], "non-integer"), ([0, np.nan], "non-integer"),
+                            ([-1, 0], "negative"), ([2.0, -1.0], "negative")):
+        with pytest.raises(ValueError, match=f"^labels contain {problem} values"):
+            write_csv(path, np.zeros((2, 2)), labels=labels)
+        values = np.column_stack([np.zeros((2, 2)), labels])
+        with pytest.raises(DatasetFormatError, match=f"label column contains {problem}"):
+            split_labels(values, True)
+    # within the reader's 1e-9, a float label is written as the integer it reads as
+    write_csv(path, np.zeros((2, 1)), labels=[0.9999999999, 2.0])
+    features, labels = split_labels(load_matrix(path), True)
+    assert path.read_text().splitlines() == ["0.0,1", "0.0,2"]
+    assert labels.tolist() == [1, 2]

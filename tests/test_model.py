@@ -90,6 +90,35 @@ def test_config_validation():
         ModelConfig(newton={"max_iters": 5})
 
 
+@pytest.mark.parametrize("name", ["num_layers", "num_kernels", "max_outer_iters", "seed"])
+@pytest.mark.parametrize("bad", [True, np.True_, 2.5, 2.0, np.float64(2.0), "2", None])
+def test_config_integer_fields_refuse_bools_and_non_integers(name, bad):
+    with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+        ModelConfig(**{name: bad})
+
+
+def test_config_seed_must_be_non_negative():
+    with pytest.raises(ValueError, match="^seed must be >= 0"):
+        ModelConfig(seed=-1)
+    assert ModelConfig(seed=0).seed == 0
+
+
+def test_config_stores_numpy_integers_as_int(tmp_path):
+    from dctl.persistence import load_model, save_model
+
+    config = ModelConfig(num_layers=np.int64(1), num_kernels=np.int32(2),
+                         max_outer_iters=np.uint8(1), seed=np.int64(4),
+                         newton=NewtonSettings(max_iters=np.int16(9)))
+    fields = (config.num_layers, config.num_kernels, config.max_outer_iters, config.seed,
+              config.newton.max_iters)
+    assert [type(v) for v in fields] == [int] * 5
+    assert fields == (1, 2, 1, 4, 9)
+    # the JSON metadata of a model file takes the plain ints
+    model = train(np.random.default_rng(56).standard_normal((3, 8)), config)
+    save_model(tmp_path / "model.dctl", model)
+    assert load_model(tmp_path / "model.dctl").config == config
+
+
 # ----------------------------------------------------------------- objective
 
 
@@ -451,6 +480,19 @@ def test_encode_memory_does_not_grow_with_depth():
     assert ratios[1] < 1.25
     assert ratios[3] < 2.5
     assert abs(ratios[4] - ratios[2]) <= 0.25
+
+
+def test_encode_features_are_one_c_contiguous_matrix():
+    # the last layer is written position-major, so the (M, N K) rows are a
+    # view of it and need no copy; deeper stacks are channel-major
+    signals, _ = generate_synthetic(2, 3, 16, seed=9)
+    for layers in (1, 2, 3):
+        model = identity_model(layers, 4, 16)
+        features = encode(model, signals)
+        assert features.shape == (6, 16 * 4)
+        assert features.flags.c_contiguous
+        expected = np.maximum(toeplitz_stack(signals, 4), 0.0)
+        assert np.array_equal(features, expected.reshape(6, -1))
 
 
 def test_encode_rejects_wrong_length_and_type():

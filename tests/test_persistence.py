@@ -130,6 +130,8 @@ BAD_CONFIGS = {
     "beta_boolean": lambda meta: meta["config"].update(beta=True),
     "newton_max_iters_float": lambda meta: meta["config"]["newton"].update(max_iters=50.0),
     "samples_float": lambda meta: meta.update(samples=8.0),
+    # numpy would refuse it only once training draws the first bank
+    "seed_negative": lambda meta: meta["config"].update(seed=-1),
     # json.dumps recurses and refuses long integers, so these are raw bytes
     "nested_too_deep": lambda meta: b"[" * 100_000,
     "integer_too_long": lambda meta: b'{"samples": 1' + b"0" * 5000 + b"}",
@@ -180,6 +182,19 @@ def test_any_json_value_under_a_metadata_key_loads_or_is_model_file_error(
         assert isinstance(load_model(path), TrainedModel)
     except ModelFileError:
         pass
+
+
+def test_every_truncation_and_bit_flip_is_model_file_error(tmp_path, trained):
+    path, payload = saved_bytes(tmp_path, trained[0])
+    corrupted = [payload[:keep] for keep in range(len(payload))]
+    for bit in range(8 * len(payload)):
+        flipped = bytearray(payload)
+        flipped[bit // 8] ^= 1 << (bit % 8)
+        corrupted.append(flipped)
+    for data in corrupted:
+        path.write_bytes(data)
+        with pytest.raises(ModelFileError):
+            load_model(path)
 
 
 def test_error_hierarchy():

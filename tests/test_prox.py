@@ -328,6 +328,13 @@ def test_newton_settings_validation():
         NewtonSettings(active_set_eps=-1.0)
 
 
+def test_newton_settings_max_iters_is_an_int():
+    for bad in (True, 2.5, 3.0, "3", None):
+        with pytest.raises(ValueError, match="^max_iters must be an integer"):
+            NewtonSettings(max_iters=bad)
+    assert type(NewtonSettings(max_iters=np.int32(7)).max_iters) is int
+
+
 def test_projected_newton_decoupled_closed_form():
     rng = np.random.default_rng(30)
     below = rng.standard_normal((3, 10, 2))
@@ -543,6 +550,28 @@ def test_projected_newton_matches_reference_bitwise(m, n, k, kind, settings):
         assert not converged and iterations < settings.max_iters
     if settings.max_iters == 1:
         assert not converged
+
+
+@pytest.mark.parametrize("m, n, k", [(9, 12, 4), (40, 64, 8)])
+def test_projected_newton_is_bitwise_blind_to_the_input_layout(m, n, k):
+    # channel-major inputs are read in place, C-ordered ones copied a channel
+    # at a time; the coefficients come out channel-major either way
+    rng = np.random.default_rng(46 + k)
+    z0, quad = _newton_reference_instance(rng, m, n, k)
+
+    def channel_major(x):
+        return np.ascontiguousarray(x.transpose(2, 0, 1)).transpose(1, 2, 0)
+
+    by_rows = projected_newton_coeffs(z0, quad, 0.05, 1.5)
+    by_channels = projected_newton_coeffs(
+        channel_major(z0),
+        CoeffQuadratics(channel_major(quad.below), quad.bank_above, channel_major(quad.above)),
+        0.05, 1.5,
+    )
+    assert by_rows.coeffs.tobytes() == by_channels.coeffs.tobytes()
+    assert by_rows[1:] == by_channels[1:]
+    for result in (by_rows, by_channels):
+        assert all(result.coeffs[:, :, c].flags.c_contiguous for c in range(k))
 
 
 def test_projected_newton_mixed_free_and_clamped_blocks():
