@@ -100,20 +100,18 @@ def _need(data, offset, count, what):
     return data[offset : offset + count], offset + count
 
 
-# Python types json.loads gives a field of each type (a bool is no number);
-# the dataclasses refuse a non-integer int field themselves
-_JSON_TYPES = {float: (int, float)}
+# Python types json.loads gives a number (a bool is no number)
+_JSON_NUMBER = (int, float)
 
 
 def _check_json_types(cls, values):
     """TypeError unless each value under a float field of the dataclass
     ``cls`` is a JSON number; the dataclasses check values only, and
-    ``True == 1.0`` passes them."""
+    ``True == 1.0`` passes them.  They refuse a non-integer int field
+    themselves."""
     for f in dataclasses.fields(cls):
-        accepted = _JSON_TYPES.get(f.type)
-        if accepted and f.name in values and type(values[f.name]) not in accepted:
-            raise TypeError(f"{f.name} must be a JSON {f.type.__name__}, "
-                            f"got {values[f.name]!r}")
+        if f.type is float and f.name in values and type(values[f.name]) not in _JSON_NUMBER:
+            raise TypeError(f"{f.name} must be a JSON number, got {values[f.name]!r}")
 
 
 def load_model(path):
@@ -156,7 +154,7 @@ def load_model(path):
         samples = meta["samples"]
         trace = [(i, l, v) for i, l, v in meta["trace"]]
         if type(samples) is not int or any(
-            type(i) is not int or type(l) is not int or type(v) not in _JSON_TYPES[float]
+            type(i) is not int or type(l) is not int or type(v) not in _JSON_NUMBER
             for i, l, v in trace
         ):
             raise TypeError("samples and trace indices must be integers, trace values numbers")

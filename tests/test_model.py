@@ -25,6 +25,7 @@ from dctl.prox import (
     update_transform,
 )
 from dctl.data import generate_synthetic
+from dctl.persistence import load_model, save_model
 from oracles import ctl_reference_trace, grid_search_scalar_prox, objective_direct
 
 
@@ -104,8 +105,6 @@ def test_config_seed_must_be_non_negative():
 
 
 def test_config_stores_numpy_integers_as_int(tmp_path):
-    from dctl.persistence import load_model, save_model
-
     config = ModelConfig(num_layers=np.int64(1), num_kernels=np.int32(2),
                          max_outer_iters=np.uint8(1), seed=np.int64(4),
                          newton=NewtonSettings(max_iters=np.int16(9)))
