@@ -7,12 +7,7 @@ nonnegative feature maps, and ships the downstream evaluation tools
 index) used to judge the features.
 """
 
-from .conv import (
-    conv_same,
-    conv_same_matrix,
-    materialize_toeplitz,
-    toeplitz_stack,
-)
+from .conv import conv_same_matrix, toeplitz_stack
 from .data import (
     DatasetFormatError,
     DatasetSplit,
@@ -81,7 +76,6 @@ __all__ = [
     "TransformUpdateInputs",
     "accuracy",
     "adjusted_rand_index",
-    "conv_same",
     "conv_same_matrix",
     "encode",
     "generate_synthetic",
@@ -90,7 +84,6 @@ __all__ = [
     "knn_classify",
     "load_matrix",
     "load_model",
-    "materialize_toeplitz",
     "nearest_centroid_classify",
     "normalize_per_sample",
     "projected_newton_coeffs",

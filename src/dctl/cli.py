@@ -71,22 +71,23 @@ def _add_data_flags(sub, with_split=False):
 
 
 def _add_model_flags(sub, with_layers=True):
+    defaults = ModelConfig()
     if with_layers:
-        sub.add_argument("--layers", type=int, default=3)
-    sub.add_argument("--kernels", type=int, default=8)
-    sub.add_argument("--mu", type=float, default=0.01,
+        sub.add_argument("--layers", type=int, default=defaults.num_layers)
+    sub.add_argument("--kernels", type=int, default=defaults.num_kernels)
+    sub.add_argument("--mu", type=float, default=defaults.mu,
                      help="transform energy penalty")
-    sub.add_argument("--lambda", dest="lam", type=float, default=0.01,
+    sub.add_argument("--lambda", dest="lam", type=float, default=defaults.lam,
                      help="log-determinant penalty keeping transforms well conditioned")
-    sub.add_argument("--beta", type=float, default=0.01,
+    sub.add_argument("--beta", type=float, default=defaults.beta,
                      help="sparsity penalty on the coefficients")
-    sub.add_argument("--gamma1", type=float, default=1.0,
+    sub.add_argument("--gamma1", type=float, default=defaults.gamma1,
                      help="proximal step weight for transform updates")
-    sub.add_argument("--gamma2", type=float, default=1.0,
+    sub.add_argument("--gamma2", type=float, default=defaults.gamma2,
                      help="proximal step weight for coefficient updates")
-    sub.add_argument("--iters", type=int, default=100,
+    sub.add_argument("--iters", type=int, default=defaults.max_outer_iters,
                      help="maximum outer sweeps")
-    sub.add_argument("--tol", type=float, default=1e-6,
+    sub.add_argument("--tol", type=float, default=defaults.objective_tol,
                      help="relative objective decrease that stops training")
 
 
@@ -119,6 +120,23 @@ def _load(args, with_split=False):
     if not with_split:
         return features, labels
     return train_test_split(features, labels, split=args.split, seed=args.seed)
+
+
+def _load_labeled_split(args, task):
+    """The shuffled split of labeled data with at least one test sample."""
+    split = _load(args, with_split=True)
+    if split.train_labels is None:
+        raise DatasetFormatError(f"{task} needs labeled data")
+    if split.test_features.shape[0] == 0:
+        raise ValueError("the split leaves no test samples; lower --split")
+    return split
+
+
+def _model_for(args, features):
+    """The model in ``--model``, or one trained on ``features``."""
+    if args.model:
+        return load_model(args.model)
+    return train(features, _config_from_args(args))
 
 
 def _cmd_synth(args):
@@ -162,15 +180,8 @@ def _cmd_encode(args):
 
 
 def _cmd_classify(args):
-    split = _load(args, with_split=True)
-    if split.train_labels is None:
-        raise DatasetFormatError("classification needs labeled data")
-    if split.test_features.shape[0] == 0:
-        raise ValueError("the split leaves no test samples; lower --split")
-    if args.model:
-        model = load_model(args.model)
-    else:
-        model = train(split.train_features, _config_from_args(args))
+    split = _load_labeled_split(args, "classification")
+    model = _model_for(args, split.train_features)
     encoded_train = encode(model, split.train_features)
     encoded_test = encode(model, split.test_features)
     pairs = (
@@ -195,11 +206,7 @@ def _cmd_cluster(args):
         if labels is None:
             raise ValueError("pass --clusters when the data has no labels")
         n_clusters = int(np.unique(labels).size)
-    if args.model:
-        model = load_model(args.model)
-    else:
-        model = train(features, _config_from_args(args))
-    encoded = encode(model, features)
+    encoded = encode(_model_for(args, features), features)
     print(f"{'features':<10}{'init':<10}{'ari':<10}time_s")
     for name, mat in (("raw", features), ("encoded", encoded)):
         for init in KMEANS_INITS:
@@ -213,11 +220,7 @@ def _cmd_cluster(args):
 
 
 def _cmd_benchmark(args):
-    split = _load(args, with_split=True)
-    if split.train_labels is None:
-        raise DatasetFormatError("benchmarking needs labeled data")
-    if split.test_features.shape[0] == 0:
-        raise ValueError("the split leaves no test samples; lower --split")
+    split = _load_labeled_split(args, "benchmarking")
     n_clusters = int(np.unique(split.train_labels).size)
     print(f"{'layers':<8}{'knn_acc':<10}{'ari':<10}train_s")
     for depth in (1, 2, 3, 4):

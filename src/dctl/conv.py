@@ -33,6 +33,10 @@ Batched convolutions use two primitives, one per job:
   layer 1 (``toeplitz_stack``) and one channel's at a time for deeper
   layers, to form their Gram matrices with BLAS.
 
+``conv_same_matrix`` writes one kernel's convolution out as a dense
+(N, N) matrix, column by column through ``channelwise_forward``; training
+never forms it.
+
 A *bank* is a (K, K) matrix whose K columns are kernels; a *block* is an
 (N, K) matrix holding one response column per channel.  Channels never
 mix: ``channelwise_forward`` convolves column k of a block with kernel k
@@ -53,9 +57,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from scipy.ndimage import convolve1d, correlate1d
 
 __all__ = [
-    "conv_same",
     "conv_same_matrix",
-    "materialize_toeplitz",
     "toeplitz_windows",
     "toeplitz_stack",
     "channelwise_forward",
@@ -78,25 +80,11 @@ def _check_lengths(n, k):
         raise ValueError(f"kernel length {k} exceeds signal length {n}")
 
 
-def conv_same(signal, kernel):
-    """Zero-padded convolution of ``signal`` with ``kernel``, output length N."""
-    signal = _as_vector(signal, "signal")
-    kernel = _as_vector(kernel, "kernel")
-    _check_lengths(signal.size, kernel.size)
-    return np.convolve(signal, kernel, mode="same")
-
-
-def materialize_toeplitz(signal, kernel_size):
-    """(N, K) matrix X with ``X @ t == conv_same(signal, t)`` for every kernel t.
-
-    Row n holds the reversed signal window centred (up to the even-length
-    offset convention) at position n: X[n, j] = signal[n - j + offset].
-    """
-    return toeplitz_stack(_as_vector(signal, "signal")[None, :], kernel_size)[0]
-
-
 def toeplitz_stack(signals, kernel_size):
-    """Batched :func:`materialize_toeplitz`: (M, N) -> (M, N, K)."""
+    """Checked (M, N, K) copy of :func:`toeplitz_windows` of (M, N) ``signals``.
+
+    ``out[m] @ t`` convolves signal m with the kernel t.
+    """
     arr = np.asarray(signals, dtype=np.float64)
     if arr.ndim != 2 or arr.shape[0] == 0 or arr.shape[1] == 0:
         raise ValueError(f"signals must be a non-empty 2-D array, got shape {arr.shape}")
@@ -141,7 +129,7 @@ def channel_major(m, n, c):
 
 
 def channelwise_forward(rows, kernel, adjoint=False, out=None):
-    """Unchecked ``conv_same`` along axis 1 of ``rows``, or its adjoint.
+    """Unchecked same-length convolution along axis 1 of ``rows``, or its adjoint.
 
     A 1-D kernel convolves every row of (M, N) ``rows``; a (K, C) bank
     convolves channel c of (M, N, C) rows with column c, so an (M, N, K)
@@ -168,22 +156,15 @@ def channelwise_forward(rows, kernel, adjoint=False, out=None):
 
 
 def conv_same_matrix(kernel, size):
-    """(size, size) matrix C with ``C @ z == conv_same(z, kernel)``.
+    """(size, size) matrix C whose product ``C @ z`` convolves z with ``kernel``.
 
-    C is banded Toeplitz: C[r, c] = kernel[r - c + offset] (zero outside
-    the kernel support).
+    C is banded Toeplitz, C[r, c] = kernel[r - c + offset] (zero outside
+    the kernel support); column c is :func:`channelwise_forward` of the
+    unit impulse at c.  Adding 0.0 writes a -0.0 tap as +0.0.
     """
     kernel = _as_vector(kernel, "kernel")
     n = int(size)
     if n < 1:
         raise ValueError("size must be a positive integer")
     _check_lengths(n, kernel.size)
-    offset = (kernel.size - 1) // 2
-    out = np.zeros((n, n))
-    for j, coef in enumerate(kernel):
-        # kernel tap j sits on diagonal r - c = j - offset
-        d = offset - j
-        idx = np.arange(max(0, -d), min(n, n - d))
-        out[idx, idx + d] = coef
-    return out
-
+    return channelwise_forward(np.eye(n), kernel).T + 0.0

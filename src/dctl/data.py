@@ -16,7 +16,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .conv import conv_same
 
 __all__ = [
     "DatasetFormatError",
@@ -296,8 +295,8 @@ def generate_synthetic(classes, per_class, length, motif_count=3, noise_sigma=0.
         raise ValueError("classes, per_class and motif_count must be >= 1")
     if length < 8:
         raise ValueError("length must be >= 8")
-    if noise_sigma < 0:
-        raise ValueError("noise_sigma must be >= 0")
+    if not (np.isfinite(noise_sigma) and noise_sigma >= 0):
+        raise ValueError("noise_sigma must be finite and >= 0")
     if motif_count > length:
         raise ValueError("motif_count cannot exceed length")
     rng = np.random.default_rng(seed)
@@ -317,7 +316,7 @@ def generate_synthetic(classes, per_class, length, motif_count=3, noise_sigma=0.
             spikes = np.zeros(length)
             positions = (anchors + rng.integers(-jitter, jitter + 1, size=motif_count)) % length
             np.add.at(spikes, positions, base_amp * rng.uniform(0.9, 1.1, size=motif_count))
-            signals[row] = conv_same(spikes, motif)
+            signals[row] = np.convolve(spikes, motif, mode="same")
             if noise_sigma > 0:
                 signals[row] += noise_sigma * rng.standard_normal(length)
             labels[row] = cls

@@ -96,7 +96,7 @@ class ModelConfig:
             raise ValueError("gamma1 must be finite and positive")
         if not (np.isfinite(self.gamma2) and self.gamma2 > 0):
             raise ValueError("gamma2 must be finite and positive")
-        if self.objective_tol < 0:
+        if not self.objective_tol >= 0:
             raise ValueError("objective_tol must be >= 0")
         if not isinstance(self.newton, NewtonSettings):
             raise ValueError("newton must be a NewtonSettings instance")

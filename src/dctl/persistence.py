@@ -158,6 +158,8 @@ def load_model(path):
             for i, l, v in trace
         ):
             raise TypeError("samples and trace indices must be integers, trace values numbers")
+        if samples < 1:
+            raise ValueError(f"samples must be >= 1, got {samples}")
         trace = [(i, l, float(v)) for i, l, v in trace]
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ModelFileError(f"metadata blob has unexpected structure: {exc}") from exc

@@ -28,7 +28,7 @@ from typing import NamedTuple
 import numpy as np
 import scipy.linalg
 
-# the training tap kernel: conv_same along axis 1 of rows, or its adjoint
+# the training tap kernel: same-length convolution along axis 1, or its adjoint
 from .conv import channel_major
 from .conv import channelwise_forward as _conv_rows
 # unused, but bench/tracing.py's TRACE_POINTS look this name up on the module
@@ -43,8 +43,6 @@ __all__ = [
     "prox_nonneg_l1",
     "prox_logdet_svd",
     "update_transform",
-    "coeff_objective",
-    "coeff_gradient",
     "projected_newton_coeffs",
 ]
 
@@ -91,7 +89,7 @@ class NewtonSettings:
             raise ValueError("armijo_c must lie in (0, 1)")
         if not 0 < self.backtrack_factor < 1:
             raise ValueError("backtrack_factor must lie in (0, 1)")
-        if self.active_set_eps < 0:
+        if not self.active_set_eps >= 0:
             raise ValueError("active_set_eps must be >= 0")
 
 
@@ -252,47 +250,6 @@ class NewtonResult(NamedTuple):
     iterations: int
 
 
-def _check_coeff_args(z, anchor, quad, beta, gamma2):
-    z = np.asarray(z, dtype=np.float64)
-    anchor = np.asarray(anchor, dtype=np.float64)
-    if z.shape != quad.below.shape or anchor.shape != quad.below.shape:
-        raise ValueError("coefficient arrays must match the quadratic data shape")
-    if not (np.isfinite(beta) and beta >= 0):
-        raise ValueError("beta must be finite and >= 0")
-    if not (np.isfinite(gamma2) and gamma2 > 0):
-        raise ValueError("gamma2 must be finite and positive")
-    return z, anchor
-
-
-def coeff_objective(z, anchor, quad, beta, gamma2):
-    """Smooth part of the coefficient objective, summed over all blocks.
-
-    0.5/gamma2 * ||z - anchor||^2 + 0.5 * ||z - below||^2
-    + 0.5 * ||conv(z) - above||^2 + beta * sum(z), where conv applies
-    bank_above channel-wise.
-    """
-    z, anchor = _check_coeff_args(z, anchor, quad, beta, gamma2)
-    coupled = _conv_rows(z, quad.bank_above)
-    return float(
-        0.5 / gamma2 * np.sum((z - anchor) ** 2)
-        + 0.5 * np.sum((z - quad.below) ** 2)
-        + 0.5 * np.sum((coupled - quad.above) ** 2)
-        + beta * np.sum(z)
-    )
-
-
-def coeff_gradient(z, anchor, quad, beta, gamma2):
-    """Gradient of :func:`coeff_objective` with respect to ``z``."""
-    z, anchor = _check_coeff_args(z, anchor, quad, beta, gamma2)
-    residual = _conv_rows(z, quad.bank_above) - quad.above
-    return (
-        (z - anchor) / gamma2
-        + (z - quad.below)
-        + _conv_rows(residual, quad.bank_above, adjoint=True)
-        + beta
-    )
-
-
 def _hessian_bands(kernel, n, shift):
     """C^T C + shift * Id for C = conv_same_matrix(kernel, n), in lower band storage.
 
@@ -358,13 +315,35 @@ def _free_direction(factor, grad):
     return scipy.linalg.cho_solve_banded((factor, True), grad.T, check_finite=False).T
 
 
+def _sq(x):
+    return np.einsum("ij,ij->i", x, x)
+
+
+def _block_values(zs, cz, a, b, c, beta, inv_g2):
+    """Objective of every block (row) of one channel, given cz = C zs.
+
+    f(z) = inv_g2/2 ||z - a||^2 + 1/2 ||z - b||^2 + 1/2 ||C z - c||^2
+           + beta * sum(z), for the block's anchor, below and above rows.
+    """
+    return (
+        0.5 * inv_g2 * _sq(zs - a)
+        + 0.5 * _sq(zs - b)
+        + 0.5 * _sq(cz - c)
+        + beta * zs.sum(axis=1)
+    )
+
+
+def _block_gradient(zs, cz, a, b, c, kernel, beta, inv_g2):
+    """Gradient of :func:`_block_values` for every block (row), given cz = C zs."""
+    residual = _conv_rows(cz - c, kernel, adjoint=True)
+    return inv_g2 * (zs - a) + (zs - b) + residual + beta
+
+
 def _newton_channel(z, anchor, below, above, kernel, beta, inv_g2, st):
     """Minimize every block (row) of one channel over z >= 0, in place on ``z``.
 
-    Block m minimizes the strictly convex
-    f(z) = inv_g2/2 ||z - anchor_m||^2 + 1/2 ||z - below_m||^2
-           + 1/2 ||C z - above_m||^2 + beta * sum(z)
-    with C = conv_same_matrix(kernel, N).  All blocks share the Hessian H,
+    Block m minimizes the strictly convex :func:`_block_values` with the
+    anchor, below and above rows m.  All blocks share the Hessian H,
     so each iteration takes one Newton step for every unconverged block at
     once, with an Armijo backtracking step size per block.  Blocks with no
     clamped coordinate solve with one banded Cholesky factor of H, taken
@@ -378,17 +357,6 @@ def _newton_channel(z, anchor, below, above, kernel, beta, inv_g2, st):
     shared = bands.shape[0] != 2
     factor = None
 
-    def sq(x):
-        return np.einsum("ij,ij->i", x, x)
-
-    def value(zs, cz, a, b, c):
-        return (
-            0.5 * inv_g2 * sq(zs - a)
-            + 0.5 * sq(zs - b)
-            + 0.5 * sq(cz - c)
-            + beta * zs.sum(axis=1)
-        )
-
     # the active blocks: rows of z, their anchor/below/above rows, iterates,
     # responses C z and values, all filtered together when a block stops;
     # a channel of a channel-major stack is contiguous and read in place,
@@ -396,11 +364,10 @@ def _newton_channel(z, anchor, below, above, kernel, beta, inv_g2, st):
     rows = np.arange(z.shape[0])
     zs, a, b, c = (np.ascontiguousarray(x) for x in (z, anchor, below, above))
     cz = _conv_rows(zs, kernel)
-    f = value(zs, cz, a, b, c)
+    f = _block_values(zs, cz, a, b, c, beta, inv_g2)
     converged, used = True, 0
     for it in range(st.max_iters):
-        residual = _conv_rows(cz - c, kernel, adjoint=True)
-        grad = inv_g2 * (zs - a) + (zs - b) + residual + beta
+        grad = _block_gradient(zs, cz, a, b, c, kernel, beta, inv_g2)
         free = (zs > st.active_set_eps) | (grad < 0.0)
         # blocks that meet first-order optimality stop here; at it == 0
         # this leaves already-optimal blocks untouched
@@ -435,7 +402,7 @@ def _newton_channel(z, anchor, below, above, kernel, beta, inv_g2, st):
             sel = slice(None) if whole else trial
             zt = np.maximum(zs[sel] - step[sel, None] * direction[sel], 0.0)
             czt = _conv_rows(zt, kernel)
-            ft = value(zt, czt, a[sel], b[sel], c[sel])
+            ft = _block_values(zt, czt, a[sel], b[sel], c[sel], beta, inv_g2)
             if not np.all(np.isfinite(ft)):
                 raise NumericalConditioningError(
                     "coefficient line search produced a non-finite value"
@@ -498,7 +465,13 @@ def projected_newton_coeffs(z0, quad, beta, gamma2, settings=None):
     st = settings if settings is not None else NewtonSettings()
     if not isinstance(st, NewtonSettings):
         raise ValueError("settings must be a NewtonSettings instance")
-    z0, _ = _check_coeff_args(z0, z0, quad, beta, gamma2)
+    z0 = np.asarray(z0, dtype=np.float64)
+    if z0.shape != quad.below.shape:
+        raise ValueError("z0 must match the quadratic data shape")
+    if not (np.isfinite(beta) and beta >= 0):
+        raise ValueError("beta must be finite and >= 0")
+    if not (np.isfinite(gamma2) and gamma2 > 0):
+        raise ValueError("gamma2 must be finite and positive")
     inv_g2 = 1.0 / gamma2
     out = np.maximum(z0, 0.0, out=channel_major(*z0.shape))
     converged = True

@@ -6,8 +6,9 @@ import subprocess
 import numpy as np
 import pytest
 
-from dctl.cli import cli
+from dctl.cli import _build_parser, _config_from_args, cli
 from dctl.data import load_matrix, write_csv
+from dctl.model import ModelConfig
 
 
 @pytest.fixture(scope="module")
@@ -225,6 +226,33 @@ def test_fuzzed_input_files_exit_with_a_status_not_a_traceback(tmp_path, pipelin
         assert err.splitlines()[-1].startswith("error:") and "Traceback" not in err
 
 
+def test_train_flag_defaults_are_the_model_config_defaults():
+    args = _build_parser().parse_args(["train", "d.csv", "--model-out", "m.dctl"])
+    assert _config_from_args(args) == ModelConfig()
+
+
+def test_nan_tolerance_is_runtime_error(tmp_path, pipeline, capsys):
+    assert cli(["train", str(pipeline["data"]), "--model-out", str(tmp_path / "m.dctl"),
+                "--labeled", "--tol", "nan"]) == 2
+    assert capsys.readouterr().err == "error: objective_tol must be >= 0\n"
+    assert not (tmp_path / "m.dctl").exists()
+
+
+def test_benchmark_needs_labels(tmp_path, capsys):
+    rng = np.random.default_rng(36)
+    path = tmp_path / "plain.csv"
+    write_csv(path, rng.uniform(0.1, 0.9, size=(10, 8)))
+    assert cli(["benchmark", str(path), "--kernels", "4", "--iters", "1"]) == 2
+    assert "labeled" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["classify", "benchmark"])
+def test_split_leaving_no_test_samples_is_runtime_error(pipeline, capsys, command):
+    assert cli([command, str(pipeline["data"]), "--split", "1.0",
+                "--kernels", "4", "--iters", "1"]) == 2
+    assert "no test samples" in capsys.readouterr().err
+
+
 def test_classify_needs_labels(tmp_path, capsys):
     rng = np.random.default_rng(34)
     path = tmp_path / "plain.csv"
@@ -244,3 +272,7 @@ def test_cluster_unlabeled_without_count_is_an_error(tmp_path, capsys):
 def test_synth_rejects_bad_parameters(tmp_path, capsys):
     assert cli(["synth", "--out", str(tmp_path / "x.csv"), "--length", "4"]) == 2
     assert capsys.readouterr().err.startswith("error:")
+    for noise in ("inf", "nan"):
+        assert cli(["synth", "--out", str(tmp_path / "x.csv"), "--noise", noise]) == 2
+        assert capsys.readouterr().err.startswith("error: noise_sigma")
+    assert not (tmp_path / "x.csv").exists()

@@ -4,15 +4,20 @@ import numpy as np
 import pytest
 from scipy.ndimage import convolve1d, correlate1d
 
-from dctl.conv import (
-    channelwise_forward,
-    conv_same,
-    conv_same_matrix,
-    materialize_toeplitz,
-    toeplitz_stack,
-)
+from dctl.conv import channelwise_forward, conv_same_matrix, toeplitz_stack
 from dctl.model import ModelConfig, _transform_inputs
-from oracles import conv_direct
+from oracles import conv_direct, conv_matrix_direct
+
+
+def conv_row(signal, kernel):
+    """One signal through the training tap kernel."""
+    return channelwise_forward(np.asarray([signal], dtype=np.float64),
+                               np.asarray(kernel, dtype=np.float64))[0]
+
+
+def windows(signal, k):
+    """The (N, k) window matrix of one signal, a row of :func:`toeplitz_stack`."""
+    return toeplitz_stack([signal], k)[0]
 
 
 def impulse_bank(k):
@@ -23,12 +28,12 @@ def impulse_bank(k):
 
 
 def test_unit_impulse_kernel_is_identity():
-    out = conv_same([1.0, 2.0, 3.0, 4.0], [0.0, 1.0, 0.0])
+    out = conv_row([1.0, 2.0, 3.0, 4.0], [0.0, 1.0, 0.0])
     assert np.array_equal(out, [1.0, 2.0, 3.0, 4.0])
 
 
 def test_zero_padding_boundary_sums():
-    out = conv_same([1.0, 1.0, 1.0], [1.0, 1.0, 1.0])
+    out = conv_row([1.0, 1.0, 1.0], [1.0, 1.0, 1.0])
     assert np.array_equal(out, [2.0, 3.0, 2.0])
 
 
@@ -38,7 +43,7 @@ def test_conv_same_matches_definition_oracle():
         for k in range(1, 9):
             signal = rng.standard_normal(n)
             kernel = rng.standard_normal(k)
-            assert np.allclose(conv_same(signal, kernel),
+            assert np.allclose(conv_row(signal, kernel),
                                conv_direct(signal, kernel), atol=1e-12)
 
 
@@ -47,35 +52,24 @@ def test_conv_same_matches_toeplitz_product():
     for trial in range(20):
         signal = rng.standard_normal(16)
         kernel = rng.standard_normal(5)
-        mat = materialize_toeplitz(signal, 5)
-        assert np.max(np.abs(conv_same(signal, kernel) - mat @ kernel)) < 1e-12
-
-
-def test_conv_same_rejects_bad_input():
-    with pytest.raises(ValueError):
-        conv_same([1.0, 2.0], [1.0, 2.0, 3.0])  # kernel longer than signal
-    with pytest.raises(ValueError):
-        conv_same([1.0, np.nan], [1.0])
-    with pytest.raises(ValueError):
-        conv_same([[1.0, 2.0]], [1.0])
-    with pytest.raises(ValueError):
-        conv_same([], [1.0])
+        mat = windows(signal, 5)
+        assert np.max(np.abs(conv_row(signal, kernel) - mat @ kernel)) < 1e-12
 
 
 def test_toeplitz_k1_is_scaling():
-    mat = materialize_toeplitz([1.0, 0.0, 0.0, 0.0], 1)
+    mat = windows([1.0, 0.0, 0.0, 0.0], 1)
     assert mat.shape == (4, 1)
     assert np.array_equal(mat[:, 0], [1.0, 0.0, 0.0, 0.0])
 
 
 def test_toeplitz_zero_signal_is_zero_matrix():
-    assert not np.any(materialize_toeplitz(np.zeros(10), 4))
+    assert not np.any(windows(np.zeros(10), 4))
 
 
 def test_toeplitz_matches_direct_convolution():
     rng = np.random.default_rng(2)
     signal = rng.standard_normal(8)
-    mat = materialize_toeplitz(signal, 3)
+    mat = windows(signal, 3)
     for trial in range(100):
         kernel = rng.standard_normal(3)
         assert np.max(np.abs(mat @ kernel - conv_direct(signal, kernel))) < 1e-12
@@ -89,7 +83,7 @@ def test_toeplitz_direct_equivalence_grid():
             for trial in range(100):
                 signal = rng.standard_normal(n)
                 kernel = rng.standard_normal(k)
-                dev = np.max(np.abs(materialize_toeplitz(signal, k) @ kernel
+                dev = np.max(np.abs(windows(signal, k) @ kernel
                                     - conv_direct(signal, kernel)))
                 worst = max(worst, dev)
     assert worst < 1e-12
@@ -101,14 +95,16 @@ def test_toeplitz_stack_matches_per_row():
     stack = toeplitz_stack(signals, 4)
     assert stack.shape == (5, 12, 4)
     for m in range(5):
-        assert np.array_equal(stack[m], materialize_toeplitz(signals[m], 4))
+        assert np.array_equal(stack[m], windows(signals[m], 4))
 
 
 def test_toeplitz_rejects_bad_input():
     with pytest.raises(ValueError):
-        materialize_toeplitz([1.0, 2.0], 3)
+        toeplitz_stack([[1.0, 2.0]], 3)  # kernel longer than signal
     with pytest.raises(ValueError):
-        materialize_toeplitz([1.0, 2.0], 0)
+        toeplitz_stack([[1.0, 2.0]], 0)
+    with pytest.raises(ValueError):
+        toeplitz_stack([1.0, 2.0], 1)  # one signal must be one row
     with pytest.raises(ValueError):
         toeplitz_stack(np.zeros((0, 4)), 2)
     with pytest.raises(ValueError):
@@ -122,7 +118,15 @@ def test_conv_same_matrix_reproduces_conv():
         mat = conv_same_matrix(kernel, 12)
         for trial in range(20):
             z = rng.standard_normal(12)
-            assert np.max(np.abs(mat @ z - conv_same(z, kernel))) < 1e-12
+            assert np.max(np.abs(mat @ z - conv_direct(z, kernel))) < 1e-12
+
+
+def test_conv_same_matrix_equals_dense_oracle_bit_for_bit():
+    # signed zero taps included: both write them as +0.0
+    for kernel in ([1.5, -0.0, 0.0, -2.25], [-0.0], [0.5, -1.0, 3.0]):
+        for n in (len(kernel), len(kernel) + 5):
+            assert (conv_same_matrix(kernel, n).tobytes()
+                    == conv_matrix_direct(np.asarray(kernel), n).tobytes())
 
 
 def test_conv_same_matrix_rejects_bad_size():
@@ -177,7 +181,7 @@ def test_multichannel_matches_per_column_conv():
     out = channelwise_forward(stack, bank)
     for m in range(2):
         for k in range(4):
-            expected = conv_same(stack[m, :, k], bank[:, k])
+            expected = conv_direct(stack[m, :, k], bank[:, k])
             assert np.max(np.abs(out[m, :, k] - expected)) < 1e-12
 
 

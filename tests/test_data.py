@@ -404,6 +404,9 @@ def test_generate_synthetic_validation():
         generate_synthetic(2, 5, 4)
     with pytest.raises(ValueError):
         generate_synthetic(2, 5, 32, noise_sigma=-0.1)
+    for bad in (float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="noise_sigma"):
+            generate_synthetic(2, 5, 32, noise_sigma=bad)
     with pytest.raises(ValueError):
         generate_synthetic(2, 5, 32, motif_count=0)
     with pytest.raises(ValueError):

@@ -6,7 +6,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from dctl.conv import channelwise_forward, conv_same, toeplitz_stack
+from dctl.conv import channelwise_forward, toeplitz_stack
 from dctl.model import (
     ModelConfig,
     TrainedModel,
@@ -26,7 +26,7 @@ from dctl.prox import (
 )
 from dctl.data import generate_synthetic
 from dctl.persistence import load_model, save_model
-from oracles import ctl_reference_trace, grid_search_scalar_prox, objective_direct
+from oracles import conv_direct, ctl_reference_trace, grid_search_scalar_prox, objective_direct
 
 
 def feasible_instance(rng, layers, m, n, k):
@@ -87,6 +87,8 @@ def test_config_validation():
         ModelConfig(max_outer_iters=0)
     with pytest.raises(ValueError):
         ModelConfig(objective_tol=-1e-9)
+    with pytest.raises(ValueError):
+        ModelConfig(objective_tol=float("nan"))
     with pytest.raises(ValueError):
         ModelConfig(newton={"max_iters": 5})
 
@@ -207,7 +209,7 @@ def test_layer_forward_deep_layer_convolves_channels():
     out = _forward(prev, bank)
     for m in range(2):
         for k in range(3):
-            assert np.allclose(out[m, :, k], conv_same(prev[m, :, k], bank[:, k]),
+            assert np.allclose(out[m, :, k], conv_direct(prev[m, :, k], bank[:, k]),
                                atol=1e-12)
 
 

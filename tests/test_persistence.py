@@ -130,6 +130,12 @@ BAD_CONFIGS = {
     "beta_boolean": lambda meta: meta["config"].update(beta=True),
     "newton_max_iters_float": lambda meta: meta["config"]["newton"].update(max_iters=50.0),
     "samples_float": lambda meta: meta.update(samples=8.0),
+    "samples_zero": lambda meta: meta.update(samples=0),
+    "samples_negative": lambda meta: meta.update(samples=-3),
+    # NaN passes a plain `x < 0` check
+    "objective_tol_nan": lambda meta: meta["config"].update(objective_tol=float("nan")),
+    "newton_active_set_eps_nan": lambda meta: meta["config"]["newton"].update(
+        active_set_eps=float("nan")),
     # numpy would refuse it only once training draws the first bank
     "seed_negative": lambda meta: meta["config"].update(seed=-1),
     # json.dumps recurses and refuses long integers, so these are raw bytes

@@ -12,14 +12,14 @@ from dctl.prox import (
     NewtonSettings,
     NumericalConditioningError,
     TransformUpdateInputs,
-    coeff_gradient,
-    coeff_objective,
     projected_newton_coeffs,
     prox_logdet_svd,
     prox_nonneg_l1,
     update_transform,
 )
 from dctl.prox import (
+    _block_gradient,
+    _block_values,
     _cholesky_bands,
     _conv_rows,
     _free_direction,
@@ -63,6 +63,31 @@ def random_coeff_instance(rng, m, n, k):
     beta = float(rng.uniform(0.0, 0.3))
     gamma2 = float(rng.uniform(0.5, 5.0))
     return z0, quad, beta, gamma2
+
+
+def channel_blocks(z, anchor, quad, c):
+    """The solver's per-channel operands: (zs, C zs, a, b, c, kernel)."""
+    kernel = quad.bank_above[:, c]
+    zs = np.ascontiguousarray(z[:, :, c])
+    return (zs, _conv_rows(zs, kernel), anchor[:, :, c], quad.below[:, :, c],
+            quad.above[:, :, c], kernel)
+
+
+def coeff_value(z, anchor, quad, beta, gamma2):
+    """Coefficient objective: the solver's block values summed over channels."""
+    total = 0.0
+    for c in range(z.shape[2]):
+        zs, cz, a, b, above, _ = channel_blocks(z, anchor, quad, c)
+        total += float(_block_values(zs, cz, a, b, above, beta, 1.0 / gamma2).sum())
+    return total
+
+
+def coeff_grad(z, anchor, quad, beta, gamma2):
+    """Gradient of :func:`coeff_value`, one channel at a time through the solver."""
+    grad = np.empty(z.shape)
+    for c in range(z.shape[2]):
+        grad[:, :, c] = _block_gradient(*channel_blocks(z, anchor, quad, c), beta, 1.0 / gamma2)
+    return grad
 
 
 # ---------------------------------------------------------------- scalar prox
@@ -326,6 +351,8 @@ def test_newton_settings_validation():
         NewtonSettings(backtrack_factor=0.0)
     with pytest.raises(ValueError):
         NewtonSettings(active_set_eps=-1.0)
+    with pytest.raises(ValueError):
+        NewtonSettings(active_set_eps=float("nan"))
 
 
 def test_newton_settings_max_iters_is_an_int():
@@ -362,8 +389,8 @@ def test_projected_newton_matches_pg_oracle():
         result = projected_newton_coeffs(z0, quad, beta, gamma2)
         z_ref = coeff_pg_oracle(z0, quad.below, quad.bank_above, quad.above,
                                 beta, gamma2, iters=50_000)
-        f_newton = coeff_objective(result.coeffs, z0, quad, beta, gamma2)
-        f_ref = coeff_objective(z_ref, z0, quad, beta, gamma2)
+        f_newton = coeff_value(result.coeffs, z0, quad, beta, gamma2)
+        f_ref = coeff_value(z_ref, z0, quad, beta, gamma2)
         assert f_newton <= f_ref + 1e-6
 
 
@@ -380,8 +407,8 @@ def test_projected_newton_descent():
     for trial in range(100):
         z0, quad, beta, gamma2 = random_coeff_instance(rng, 2, 6, 2)
         result = projected_newton_coeffs(z0, quad, beta, gamma2)
-        f_new = coeff_objective(result.coeffs, z0, quad, beta, gamma2)
-        f_old = coeff_objective(z0, z0, quad, beta, gamma2)
+        f_new = coeff_value(result.coeffs, z0, quad, beta, gamma2)
+        f_old = coeff_value(z0, z0, quad, beta, gamma2)
         assert f_new <= f_old + 1e-9
 
 
@@ -391,8 +418,8 @@ def test_projected_newton_iteration_cap_returns_flag():
     settings = NewtonSettings(max_iters=1, grad_tol=1e-14)
     result = projected_newton_coeffs(z0, quad, beta, gamma2, settings)
     assert not result.converged
-    f_new = coeff_objective(result.coeffs, z0, quad, beta, gamma2)
-    assert f_new <= coeff_objective(z0, z0, quad, beta, gamma2) + 1e-9
+    f_new = coeff_value(result.coeffs, z0, quad, beta, gamma2)
+    assert f_new <= coeff_value(z0, z0, quad, beta, gamma2) + 1e-9
 
 
 def test_projected_newton_first_order_optimality():
@@ -400,7 +427,7 @@ def test_projected_newton_first_order_optimality():
     for trial in range(10):
         z0, quad, beta, gamma2 = random_coeff_instance(rng, 2, 8, 2)
         result = projected_newton_coeffs(z0, quad, beta, gamma2)
-        grad = coeff_gradient(result.coeffs, z0, quad, beta, gamma2)
+        grad = coeff_grad(result.coeffs, z0, quad, beta, gamma2)
         tol = 10 * NewtonSettings().grad_tol
         interior = result.coeffs > NewtonSettings().active_set_eps
         assert np.all(np.abs(grad[interior]) <= tol)
@@ -600,7 +627,7 @@ def test_projected_newton_mixed_free_and_clamped_blocks():
     assert np.any((mixed > eps).any(axis=1) & (mixed <= eps).any(axis=1))
     z_ref = coeff_pg_oracle(z0, below, bank, above, beta, gamma2, iters=20_000)
     assert np.max(np.abs(z - z_ref)) < 1e-6
-    grad = coeff_gradient(z, z0, quad, beta, gamma2)
+    grad = coeff_grad(z, z0, quad, beta, gamma2)
     tol = 10 * NewtonSettings().grad_tol
     interior = z > eps
     assert np.all(np.abs(grad[interior]) <= tol)
@@ -638,7 +665,7 @@ def test_coeff_objective_matches_direct_oracle():
     for trial in range(10):
         z0, quad, beta, gamma2 = random_coeff_instance(rng, 2, 8, 2)
         z = np.maximum(rng.standard_normal(z0.shape), 0.0)
-        ours = coeff_objective(z, z0, quad, beta, gamma2)
+        ours = coeff_value(z, z0, quad, beta, gamma2)
         ref = coeff_objective_direct(z, z0, quad.below, quad.bank_above,
                                      quad.above, beta, gamma2)
         assert abs(ours - ref) < 1e-10 * max(1.0, abs(ref))
@@ -649,7 +676,7 @@ def test_coeff_gradient_matches_finite_differences():
     for trial in range(3):
         z0, quad, beta, gamma2 = random_coeff_instance(rng, 2, 6, 2)
         z = np.maximum(rng.standard_normal(z0.shape), 0.0) + 0.1
-        grad = coeff_gradient(z, z0, quad, beta, gamma2)
-        ref = fd_gradient(lambda zz: coeff_objective(zz, z0, quad, beta, gamma2),
+        grad = coeff_grad(z, z0, quad, beta, gamma2)
+        ref = fd_gradient(lambda zz: coeff_value(zz, z0, quad, beta, gamma2),
                           z, step=1e-6)
         assert np.linalg.norm(grad - ref) < 1e-5 * max(np.linalg.norm(ref), 1.0)
