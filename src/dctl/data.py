@@ -23,6 +23,7 @@ __all__ = [
     "load_matrix",
     "looks_labeled",
     "split_labels",
+    "as_labels",
     "normalize_per_sample",
     "train_test_split",
     "generate_synthetic",
@@ -217,21 +218,34 @@ def load_matrix(path, fmt="csv", cols=None):
 
 
 def looks_labeled(values):
-    """Heuristic: the final column holds small nonnegative integers."""
-    if values.shape[1] < 2:
-        return False
-    last = values[:, -1]
-    return bool(np.all(np.abs(last - np.rint(last)) < 1e-9) and np.all(last >= 0))
+    """Heuristic: the final column holds what :func:`split_labels` reads as labels."""
+    return values.shape[1] >= 2 and _label_problem(values[:, -1]) is None
 
 
 def _label_problem(values):
-    """What keeps float ``values`` from being labels, or None: a label is a
-    non-negative integer, to within 1e-9."""
-    if not np.all(np.abs(values - np.rint(values)) < 1e-9):
-        return "non-integer values"
+    """What keeps the numeric array ``values`` from being labels, or None: a
+    label is a non-negative integer, or a float within 1e-9 of one below 2**63."""
+    if values.dtype.kind not in "iu":
+        if not np.all(np.abs(values - np.rint(values)) < 1e-9):
+            return "non-integer values"
+        if np.any(values >= 2.0**63):  # no int64 holds it
+            return "out-of-range values"
     if np.any(np.rint(values) < 0):
         return "negative values"
     return None
+
+
+def as_labels(values, count, name="labels"):
+    """``values`` as ``count`` int64 labels, or a ValueError naming ``name``."""
+    values = np.asarray(values)
+    if values.shape != (count,):
+        raise ValueError(f"{name} must be a ({count},) array, got shape {values.shape}")
+    if values.dtype.kind not in "iu":
+        values = values.astype(np.float64)
+    problem = _label_problem(values)
+    if problem:
+        raise ValueError(f"{name} contain {problem}")
+    return (values if values.dtype.kind in "iu" else np.rint(values)).astype(np.int64)
 
 
 def split_labels(values, labeled):
@@ -327,25 +341,18 @@ def generate_synthetic(classes, per_class, length, motif_count=3, noise_sigma=0.
 def write_csv(path, features, labels=None, header=False):
     """Write a feature matrix (plus optional final label column) as CSV.
 
-    Labels follow the rule :func:`split_labels` reads them by: integers,
-    or floats within 1e-9 of one (written as that integer), and never
-    negative; anything else is a ValueError.
+    Features must be finite, as :func:`load_matrix` reads them.  Labels
+    follow the rule :func:`split_labels` reads them by: integers, or floats
+    within 1e-9 of one below 2**63 (written as that integer), and never
+    negative.  Anything else is a ValueError, raised before the file opens.
     """
     features = np.asarray(features, dtype=np.float64)
     if features.ndim != 2:
         raise ValueError("features must be 2-D")
+    if not np.isfinite(features).all():
+        raise ValueError("features contain non-finite values")
     if labels is not None:
-        labels = np.asarray(labels)
-        if labels.shape != (features.shape[0],):
-            raise ValueError("labels length must match the number of rows")
-        if labels.dtype.kind not in "iu":
-            floats = labels.astype(np.float64)
-            problem = _label_problem(floats)
-            if problem:
-                raise ValueError(f"labels contain {problem}")
-            labels = np.rint(floats).astype(np.int64)
-        elif np.any(labels < 0):
-            raise ValueError("labels contain negative values")
+        labels = as_labels(labels, features.shape[0])
     # the bytes csv.writer gives: no cell needs quoting, rows end in "\r\n"
     with open(path, "w", newline="") as handle:
         if header:

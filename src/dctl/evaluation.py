@@ -11,6 +11,8 @@ import numpy as np
 from scipy.linalg import eigh
 from scipy.spatial.distance import cdist
 
+from .data import as_labels
+
 __all__ = [
     "KMEANS_INITS",
     "ClusteringResult",
@@ -31,21 +33,6 @@ def _check_features(features, name="features"):
         raise ValueError(f"{name} must be a non-empty 2-D array, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} contains non-finite values")
-    return arr
-
-
-def _check_labels(labels, count, name="labels"):
-    arr = np.asarray(labels)
-    if arr.shape != (count,):
-        raise ValueError(f"{name} must be a ({count},) array, got shape {arr.shape}")
-    if not np.issubdtype(arr.dtype, np.integer):
-        rounded = np.rint(arr)
-        if not np.all(np.abs(arr - rounded) < 1e-9):
-            raise ValueError(f"{name} must be integers")
-        arr = rounded
-    arr = arr.astype(np.int64)
-    if np.any(arr < 0):
-        raise ValueError(f"{name} must be >= 0")
     return arr
 
 
@@ -95,12 +82,13 @@ def _nearest(train, test, k):
 def knn_classify(train_features, train_labels, test_features, k):
     """Euclidean k-nearest-neighbour majority vote.
 
-    Vote ties go to the smallest label index.  The neighbours are the first
-    k of a stable sort of ``cdist`` distances, so equal distances resolve
-    to the earliest training row.  They are found bit for bit without the
-    full ``cdist`` matrix: a GEMM per block of ``NEAREST_BLOCK`` test rows
-    bounds every squared distance, and ``cdist`` re-ranks only the rows
-    the bounds cannot rule out.
+    The vote counts the codes ``np.unique`` gives the labels, so its memory
+    does not grow with the largest label; ties go to the smallest label.
+    The neighbours are the first k of a stable sort of ``cdist`` distances,
+    so equal distances resolve to the earliest training row.  They are
+    found bit for bit without the full ``cdist`` matrix: a GEMM per block
+    of ``NEAREST_BLOCK`` test rows bounds every squared distance, and
+    ``cdist`` re-ranks only the rows the bounds cannot rule out.
 
     Bound.  For a test row q and a training row t in D dimensions, let
     S = ‖q‖² + ‖t‖², d² = ‖q − t‖² ≤ 2S and u = eps/2.  The estimate
@@ -128,24 +116,25 @@ def knn_classify(train_features, train_labels, test_features, k):
     training row is a candidate.
     """
     train = _check_features(train_features, "train_features")
-    labels = _check_labels(train_labels, train.shape[0], "train_labels")
+    labels = as_labels(train_labels, train.shape[0], "train_labels")
     test = _check_features(test_features, "test_features")
     if test.shape[1] != train.shape[1]:
         raise ValueError("train and test feature dimensions differ")
     k = int(k)
     if not 1 <= k <= train.shape[0]:
         raise ValueError(f"k must be in [1, {train.shape[0]}], got {k}")
-    votes = labels[_nearest(train, test, k)]
-    out = np.empty(test.shape[0], dtype=np.int64)
+    classes, codes = np.unique(labels, return_inverse=True)
+    votes = codes[_nearest(train, test, k)]
+    out = np.empty(test.shape[0], dtype=np.intp)
     for i in range(test.shape[0]):
         out[i] = np.bincount(votes[i]).argmax()
-    return out
+    return classes[out]
 
 
 def nearest_centroid_classify(train_features, train_labels, test_features):
     """Assign each test row the label of the nearest class mean."""
     train = _check_features(train_features, "train_features")
-    labels = _check_labels(train_labels, train.shape[0], "train_labels")
+    labels = as_labels(train_labels, train.shape[0], "train_labels")
     test = _check_features(test_features, "test_features")
     if test.shape[1] != train.shape[1]:
         raise ValueError("train and test feature dimensions differ")

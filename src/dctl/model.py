@@ -38,6 +38,7 @@ from .prox import (
     NewtonSettings,
     NumericalConditioningError,
     TransformUpdateInputs,
+    _float_field,
     _int_field,
     projected_newton_coeffs,
     prox_nonneg_l1,
@@ -66,7 +67,8 @@ class ModelConfig:
     that keeps banks invertible, beta the l1 sparsity penalty on the
     coefficients; gamma1/gamma2 are the proximal anchor weights of the
     bank/coefficient updates.  The integer fields are stored as ``int``
-    (numpy integers are accepted); the seed must be non-negative.
+    and the float fields as ``float`` (numpy numbers are accepted, bools
+    are not); the seed must be non-negative.
     """
 
     num_layers: int = 3
@@ -86,18 +88,12 @@ class ModelConfig:
         _int_field(self, "num_kernels", 1)
         _int_field(self, "max_outer_iters", 1)
         _int_field(self, "seed", 0)
-        if not (np.isfinite(self.mu) and self.mu >= 0):
-            raise ValueError("mu must be finite and >= 0")
-        if not (np.isfinite(self.lam) and self.lam > 0):
-            raise ValueError("lam must be finite and positive")
-        if not (np.isfinite(self.beta) and self.beta >= 0):
-            raise ValueError("beta must be finite and >= 0")
-        if not (np.isfinite(self.gamma1) and self.gamma1 > 0):
-            raise ValueError("gamma1 must be finite and positive")
-        if not (np.isfinite(self.gamma2) and self.gamma2 > 0):
-            raise ValueError("gamma2 must be finite and positive")
-        if not self.objective_tol >= 0:
-            raise ValueError("objective_tol must be >= 0")
+        _float_field(self, "mu", lambda v: np.isfinite(v) and v >= 0, "be finite and >= 0")
+        _float_field(self, "lam", lambda v: np.isfinite(v) and v > 0, "be finite and positive")
+        _float_field(self, "beta", lambda v: np.isfinite(v) and v >= 0, "be finite and >= 0")
+        _float_field(self, "gamma1", lambda v: np.isfinite(v) and v > 0, "be finite and positive")
+        _float_field(self, "gamma2", lambda v: np.isfinite(v) and v > 0, "be finite and positive")
+        _float_field(self, "objective_tol", lambda v: v >= 0, "be >= 0")
         if not isinstance(self.newton, NewtonSettings):
             raise ValueError("newton must be a NewtonSettings instance")
 

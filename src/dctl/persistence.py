@@ -73,7 +73,8 @@ def _config_blob(model):
 
 
 def save_model(path, model):
-    """Serialize a trained model; loading the result reproduces it bit for bit."""
+    """Serialize a trained model; loading the result reproduces it bit for bit.
+    A model that would not load back is a ModelFileError, and writes nothing."""
     num_layers = len(model.transforms)
     k = model.config.num_kernels
     n = int(model.data_dims[1])
@@ -88,6 +89,7 @@ def save_model(path, model):
     parts.append(blob)
     body = b"".join(parts)
     payload = body + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF)
+    _decode(payload)
     with open(path, "wb") as handle:
         handle.write(payload)
 
@@ -100,24 +102,14 @@ def _need(data, offset, count, what):
     return data[offset : offset + count], offset + count
 
 
-# Python types json.loads gives a number (a bool is no number)
-_JSON_NUMBER = (int, float)
-
-
-def _check_json_types(cls, values):
-    """TypeError unless each value under a float field of the dataclass
-    ``cls`` is a JSON number; the dataclasses check values only, and
-    ``True == 1.0`` passes them.  They refuse a non-integer int field
-    themselves."""
-    for f in dataclasses.fields(cls):
-        if f.type is float and f.name in values and type(values[f.name]) not in _JSON_NUMBER:
-            raise TypeError(f"{f.name} must be a JSON number, got {values[f.name]!r}")
-
-
 def load_model(path):
     """Read a model file back into a TrainedModel, verifying every layer."""
     with open(path, "rb") as handle:
-        data = handle.read()
+        return _decode(handle.read())
+
+
+def _decode(data):
+    """The TrainedModel a model file's bytes ``data`` hold, or ModelFileError."""
     raw, pos = _need(data, 0, 4, "the magic header")
     if raw != MAGIC:
         raise ModelFileMagicError(f"bad magic {raw!r}")
@@ -154,7 +146,8 @@ def load_model(path):
         samples = meta["samples"]
         trace = [(i, l, v) for i, l, v in meta["trace"]]
         if type(samples) is not int or any(
-            type(i) is not int or type(l) is not int or type(v) not in _JSON_NUMBER
+            # a bool is no JSON number
+            type(i) is not int or type(l) is not int or type(v) not in (int, float)
             for i, l, v in trace
         ):
             raise TypeError("samples and trace indices must be integers, trace values numbers")
@@ -166,9 +159,7 @@ def load_model(path):
     try:
         newton = raw_config.pop("newton", None)
         if newton is not None:
-            _check_json_types(NewtonSettings, dict(newton))
             raw_config["newton"] = NewtonSettings(**newton)
-        _check_json_types(ModelConfig, raw_config)
         config = ModelConfig(**raw_config)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ModelFileError(f"metadata blob holds an invalid configuration: {exc}") from exc

@@ -65,6 +65,18 @@ def _int_field(config, name, minimum):
     object.__setattr__(config, name, int(value))
 
 
+def _float_field(config, name, ok, rule):
+    """The float twin of ``_int_field``: store any real but a bool as a
+    ``float`` for which ``ok`` holds, or raise "<name> must <rule>"."""
+    value = getattr(config, name)
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    value = float(value)
+    if not ok(value):
+        raise ValueError(f"{name} must {rule}")
+    object.__setattr__(config, name, value)
+
+
 @dataclass(frozen=True)
 class NewtonSettings:
     """Knobs for the projected Newton coefficient solver.
@@ -83,14 +95,10 @@ class NewtonSettings:
 
     def __post_init__(self):
         _int_field(self, "max_iters", 1)
-        if not self.grad_tol > 0:
-            raise ValueError("grad_tol must be positive")
-        if not 0 < self.armijo_c < 1:
-            raise ValueError("armijo_c must lie in (0, 1)")
-        if not 0 < self.backtrack_factor < 1:
-            raise ValueError("backtrack_factor must lie in (0, 1)")
-        if not self.active_set_eps >= 0:
-            raise ValueError("active_set_eps must be >= 0")
+        _float_field(self, "grad_tol", lambda v: v > 0, "be positive")
+        _float_field(self, "armijo_c", lambda v: 0 < v < 1, "lie in (0, 1)")
+        _float_field(self, "backtrack_factor", lambda v: 0 < v < 1, "lie in (0, 1)")
+        _float_field(self, "active_set_eps", lambda v: v >= 0, "be >= 0")
 
 
 def prox_nonneg_l1(v, beta, weight, out=None):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from dctl.cli import _build_parser, _config_from_args, cli
-from dctl.data import load_matrix, write_csv
+from dctl.data import generate_synthetic, load_matrix, write_csv
 from dctl.model import ModelConfig
 
 
@@ -251,6 +251,17 @@ def test_split_leaving_no_test_samples_is_runtime_error(pipeline, capsys, comman
     assert cli([command, str(pipeline["data"]), "--split", "1.0",
                 "--kernels", "4", "--iters", "1"]) == 2
     assert "no test samples" in capsys.readouterr().err
+
+
+def test_classify_with_huge_labels_votes_on_codes(tmp_path, capsys):
+    signals, labels = generate_synthetic(2, 6, 16, noise_sigma=0.1, seed=0)
+    path = tmp_path / "big.csv"
+    write_csv(path, signals, np.where(labels == 1, 10**13, 0))
+    assert cli(["classify", str(path), "--kernels", "4", "--iters", "1", "-k", "3"]) == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert [row.split()[:2] for row in rows] == [
+        ["raw", "knn3"], ["raw", "nearest-centroid"],
+        ["encoded", "knn3"], ["encoded", "nearest-centroid"]]
 
 
 def test_classify_needs_labels(tmp_path, capsys):

@@ -5,6 +5,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dctl.data
 from dctl.data import (
@@ -298,6 +300,24 @@ def test_looks_labeled_heuristic():
     assert not looks_labeled(np.array([[0.5, 1.5], [0.2, 0.0]]))
     assert not looks_labeled(np.array([[0.5, -1.0], [0.2, 0.0]]))
     assert not looks_labeled(np.array([[1.0], [2.0]]))
+    # split_labels reads -1e-10 as label 0
+    assert looks_labeled(np.array([[0.5, -1e-10], [0.2, 1.0]]))
+
+
+LABEL_CELLS = st.sampled_from([0.0, -0.0, 1.0, 7.0, 1e13, -1e-10, 1e-10, -5e-10,
+                               0.9999999999, 2.5, -1.0, -0.6, np.nan, np.inf, 1e300])
+
+
+@settings(max_examples=200, deadline=None)
+@given(cells=st.lists(LABEL_CELLS | st.floats(-3, 3), min_size=1, max_size=4))
+def test_looks_labeled_exactly_when_split_labels_accepts(cells):
+    values = np.column_stack([np.zeros(len(cells)), cells])
+    try:
+        split_labels(values, True)
+        accepted = True
+    except DatasetFormatError:
+        accepted = False
+    assert looks_labeled(values) == accepted
 
 
 def test_split_labels():
@@ -453,12 +473,18 @@ def test_write_csv_validation(tmp_path):
         write_csv(path, np.zeros(4))
     with pytest.raises(ValueError):
         write_csv(path, np.zeros((2, 2)), labels=[1])
+    # load_matrix refuses them, so they are not written
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="^features contain non-finite values"):
+            write_csv(path, [[1.0, bad]])
+    assert not path.exists()
 
 
 def test_write_csv_refuses_labels_split_labels_would_refuse(tmp_path):
     path = tmp_path / "out.csv"
     for labels, problem in (([1.7, 0], "non-integer"), ([0, np.nan], "non-integer"),
-                            ([-1, 0], "negative"), ([2.0, -1.0], "negative")):
+                            ([-1, 0], "negative"), ([2.0, -1.0], "negative"),
+                            ([0.0, 2.0**63], "out-of-range")):
         with pytest.raises(ValueError, match=f"^labels contain {problem} values"):
             write_csv(path, np.zeros((2, 2)), labels=labels)
         values = np.column_stack([np.zeros((2, 2)), labels])

@@ -37,6 +37,18 @@ def separated_blobs(seed=0, per_cluster=15, sigma=0.1):
 # ----------------------------------------------------------- knn classifier
 
 
+def test_knn_votes_on_label_codes_not_label_values():
+    # a vote sized by the largest label would ask for 80 TB here
+    big = 10**13
+    train = np.array([[0.0], [0.1], [5.0], [5.1]])
+    pred = knn_classify(train, np.array([big, big, 0, 0]), np.array([[0.05], [5.05]]), k=2)
+    assert pred.dtype == np.int64
+    assert pred.tolist() == [big, 0]
+    # ties still go to the smallest label, whatever the row order
+    pred = knn_classify(np.array([[0.0], [1.0]]), np.array([big, 7]), np.array([[0.5]]), k=2)
+    assert pred.tolist() == [7]
+
+
 def test_knn_exact_training_point_gets_its_label():
     train = np.array([[0.0, 0.0], [5.0, 5.0], [9.0, 0.0]])
     labels = np.array([4, 7, 2])

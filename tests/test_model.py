@@ -100,6 +100,16 @@ def test_config_integer_fields_refuse_bools_and_non_integers(name, bad):
         ModelConfig(**{name: bad})
 
 
+FLOAT_FIELDS = ["mu", "lam", "beta", "gamma1", "gamma2", "objective_tol"]
+
+
+@pytest.mark.parametrize("name", FLOAT_FIELDS)
+@pytest.mark.parametrize("bad", [True, False, np.True_, "0.5", None, 1j])
+def test_config_float_fields_refuse_bools_and_non_reals(name, bad):
+    with pytest.raises(ValueError, match=f"^{name} must be a real number"):
+        ModelConfig(**{name: bad})
+
+
 def test_config_seed_must_be_non_negative():
     with pytest.raises(ValueError, match="^seed must be >= 0"):
         ModelConfig(seed=-1)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 import struct
 import zlib
 
@@ -60,6 +61,58 @@ def test_save_load_save_is_byte_identical(tmp_path, trained):
     save_model(first, model)
     save_model(second, load_model(first))
     assert first.read_bytes() == second.read_bytes()
+
+
+def as_int(value):
+    return st.sampled_from([int, np.int64, np.int32]).map(lambda cast: cast(value))
+
+
+def as_real(low, high):
+    """Floats in [low, high] as Python or numpy floats, or integers there as ints."""
+    reals = st.tuples(st.sampled_from([float, np.float64, np.float32]), st.floats(low, high))
+    if math.ceil(low) <= high:
+        reals |= st.tuples(st.sampled_from([int, np.int64]),
+                           st.integers(math.ceil(low), math.floor(high)))
+    return reals.map(lambda pair: pair[0](pair[1]))
+
+
+@settings(max_examples=25, deadline=None)
+@given(layers=as_int(2), kernels=as_int(3), iters=as_int(1), seed=as_int(5),
+       mu=as_real(0, 1), beta=as_real(0, 1), objective_tol=as_real(0, 1e-3),
+       lam=as_real(0.5, 2), gamma1=as_real(1, 2), gamma2=as_real(1, 2),
+       grad_tol=as_real(1e-9, 1e-8), max_iters=as_int(60))
+def test_config_of_python_or_numpy_numbers_round_trips(
+        tmp_path_factory, layers, kernels, iters, seed, grad_tol, max_iters, **reals):
+    newton = NewtonSettings(max_iters=max_iters, grad_tol=grad_tol)
+    config = ModelConfig(num_layers=layers, num_kernels=kernels, max_outer_iters=iters,
+                         seed=seed, newton=newton, **reals)
+    for fields_of in (config, newton):  # stored as the plain type json writes
+        assert all(type(getattr(fields_of, f.name)) is f.type
+                   for f in dataclasses.fields(fields_of) if f.type in (int, float))
+    signals, _ = generate_synthetic(2, 2, 12, seed=31)
+    model = train(signals, config)
+    path = tmp_path_factory.mktemp("round") / "model.dctl"
+    save_model(path, model)
+    loaded = load_model(path)
+    assert loaded.config == config
+    assert loaded.training_trace == model.training_trace
+    assert all(np.array_equal(a, b) for a, b in zip(loaded.transforms, model.transforms))
+
+
+UNLOADABLE_MODELS = {
+    "samples_zero": lambda model: dataclasses.replace(model, data_dims=(0, 16)),
+    "layer_count_mismatch": lambda model: dataclasses.replace(
+        model, transforms=model.transforms[:1]),
+    "length_zero": lambda model: dataclasses.replace(model, data_dims=(8, 0)),
+}
+
+
+@pytest.mark.parametrize("edit", UNLOADABLE_MODELS.values(), ids=UNLOADABLE_MODELS.keys())
+def test_save_refuses_what_load_would_refuse_and_writes_nothing(tmp_path, trained, edit):
+    path = tmp_path / "model.dctl"
+    with pytest.raises(ModelFileError):
+        save_model(path, edit(trained[0]))
+    assert not path.exists()
 
 
 def test_bad_magic_rejected(tmp_path, trained):

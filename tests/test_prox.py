@@ -362,6 +362,13 @@ def test_newton_settings_max_iters_is_an_int():
     assert type(NewtonSettings(max_iters=np.int32(7)).max_iters) is int
 
 
+@pytest.mark.parametrize("name", ["grad_tol", "armijo_c", "backtrack_factor",
+                                  "active_set_eps"])
+def test_newton_settings_float_fields_refuse_bools(name):
+    with pytest.raises(ValueError, match=f"^{name} must be a real number"):
+        NewtonSettings(**{name: True})
+
+
 def test_projected_newton_decoupled_closed_form():
     rng = np.random.default_rng(30)
     below = rng.standard_normal((3, 10, 2))
