@@ -224,11 +224,16 @@ def looks_labeled(values):
 
 def _label_problem(values):
     """What keeps the numeric array ``values`` from being labels, or None: a
-    label is a non-negative integer, or a float within 1e-9 of one below 2**63."""
-    if values.dtype.kind not in "iu":
-        if not np.all(np.abs(values - np.rint(values)) < 1e-9):
+    label is a non-negative integer below 2**63 (so an int64 holds it), or a
+    float within 1e-9 of one."""
+    if values.dtype.kind == "u":
+        if np.any(values >= np.uint64(2**63)):
+            return "out-of-range values"
+    elif values.dtype.kind != "i":
+        # finiteness first: inf - rint(inf) is NaN, with a RuntimeWarning
+        if not (np.all(np.isfinite(values)) and np.all(np.abs(values - np.rint(values)) < 1e-9)):
             return "non-integer values"
-        if np.any(values >= 2.0**63):  # no int64 holds it
+        if np.any(values >= 2.0**63):
             return "out-of-range values"
     if np.any(np.rint(values) < 0):
         return "negative values"

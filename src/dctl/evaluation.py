@@ -25,6 +25,8 @@ __all__ = [
 ]
 
 KMEANS_INITS = ("kmeanspp", "random", "pca")
+KMEANS_MAX_ITERS = 300
+KMEANS_TOL = 1e-6
 
 
 def _check_features(features, name="features"):
@@ -258,7 +260,7 @@ def _seed_pca(x, n_clusters, rng):
     return mean + seeds @ basis
 
 
-def kmeans(features, n_clusters, init="kmeanspp", seed=0, max_iters=300, tol=1e-6):
+def kmeans(features, n_clusters, init="kmeanspp", seed=0):
     """Lloyd's algorithm with a choice of seeding strategy.
 
     init is one of "kmeanspp" (distance-squared weighted seeding),
@@ -269,8 +271,8 @@ def kmeans(features, n_clusters, init="kmeanspp", seed=0, max_iters=300, tol=1e-
     ``scipy.linalg.eigh(subset_by_index=...)`` instead of a full SVD;
     directions with a zero eigenvalue are dropped.  A cluster that
     empties is re-seeded at the point farthest from its assigned centroid
-    (deterministic).  Iterates until
-    the largest centroid shift drops below ``tol`` or ``max_iters``
+    (deterministic).  Iterates until the largest centroid shift drops
+    below the fixed ``KMEANS_TOL`` (1e-6) or ``KMEANS_MAX_ITERS`` (300)
     passes; the recorded inertia trace never increases.
     """
     x = _check_features(features)
@@ -280,8 +282,6 @@ def kmeans(features, n_clusters, init="kmeanspp", seed=0, max_iters=300, tol=1e-
         raise ValueError(f"n_clusters must be in [1, {m}], got {n_clusters}")
     if init not in KMEANS_INITS:
         raise ValueError(f"init must be one of {KMEANS_INITS}, got {init!r}")
-    if max_iters < 1:
-        raise ValueError("max_iters must be >= 1")
     started = time.perf_counter()
     rng = np.random.default_rng(seed)
     if init == "kmeanspp":
@@ -304,7 +304,7 @@ def kmeans(features, n_clusters, init="kmeanspp", seed=0, max_iters=300, tol=1e-
         return labels, float(d2[np.arange(m), labels].sum())
 
     trace = []
-    for _ in range(max_iters):
+    for _ in range(KMEANS_MAX_ITERS):
         labels, inertia = assign(centroids)
         trace.append(inertia)
         updated = centroids.copy()
@@ -312,7 +312,7 @@ def kmeans(features, n_clusters, init="kmeanspp", seed=0, max_iters=300, tol=1e-
             updated[c] = x[labels == c].mean(axis=0)
         shift = float(np.linalg.norm(updated - centroids, axis=1).max())
         centroids = updated
-        if shift < tol:
+        if shift < KMEANS_TOL:
             break
     labels, inertia = assign(centroids)
     trace.append(inertia)

@@ -25,7 +25,7 @@ import zlib
 import numpy as np
 
 from .model import ModelConfig, TrainedModel
-from .prox import NewtonSettings
+from .prox import ACTIVE_SET_EPS, ARMIJO_C, BACKTRACK_FACTOR, NewtonSettings
 
 __all__ = [
     "MAGIC",
@@ -41,6 +41,9 @@ __all__ = [
 
 MAGIC = b"DCTL"
 FORMAT_VERSION = 1
+# Newton settings that earlier files store and the solver now fixes
+RETIRED_NEWTON_KEYS = {"armijo_c": ARMIJO_C, "backtrack_factor": BACKTRACK_FACTOR,
+                       "active_set_eps": ACTIVE_SET_EPS}
 
 
 class ModelFileError(ValueError):
@@ -63,15 +66,6 @@ class ModelFileTruncatedError(ModelFileError):
     """The file ends before the declared payload is complete."""
 
 
-def _config_blob(model):
-    config = dataclasses.asdict(model.config)
-    return {
-        "config": config,
-        "samples": int(model.data_dims[0]),
-        "trace": [[int(i), int(l), float(v)] for i, l, v in model.training_trace],
-    }
-
-
 def save_model(path, model):
     """Serialize a trained model; loading the result reproduces it bit for bit.
     A model that would not load back is a ModelFileError, and writes nothing."""
@@ -84,7 +78,12 @@ def save_model(path, model):
         if arr.shape != (k, k):
             raise ValueError(f"transform bank has shape {arr.shape}, expected {(k, k)}")
         parts.append(arr.astype("<f8").tobytes(order="C"))
-    blob = json.dumps(_config_blob(model), sort_keys=True).encode("utf-8")
+    meta = {
+        "config": dataclasses.asdict(model.config),
+        "samples": int(model.data_dims[0]),
+        "trace": [[int(i), int(l), float(v)] for i, l, v in model.training_trace],
+    }
+    blob = json.dumps(meta, sort_keys=True).encode("utf-8")
     parts.append(struct.pack("<I", len(blob)))
     parts.append(blob)
     body = b"".join(parts)
@@ -157,10 +156,11 @@ def _decode(data):
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ModelFileError(f"metadata blob has unexpected structure: {exc}") from exc
     try:
-        newton = raw_config.pop("newton", None)
-        if newton is not None:
-            raw_config["newton"] = NewtonSettings(**newton)
-        config = ModelConfig(**raw_config)
+        newton = {**raw_config.pop("newton", {})}
+        for key, fixed in RETIRED_NEWTON_KEYS.items():
+            if (value := newton.pop(key, fixed)) != fixed:
+                raise ValueError(f"newton {key} is fixed at {fixed!r}, got {value!r}")
+        config = ModelConfig(**raw_config, newton=NewtonSettings(**newton))
     except (TypeError, ValueError, OverflowError) as exc:
         raise ModelFileError(f"metadata blob holds an invalid configuration: {exc}") from exc
     if config.num_layers != num_layers or config.num_kernels != k:

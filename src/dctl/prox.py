@@ -15,14 +15,14 @@ subproblems the alternating trainer cycles through:
   solves them with an active-set projected Newton method.  The blocks of
   one channel share a Hessian H banded with half-bandwidth K - 1.  Each
   Newton iteration solves every unconverged block of a channel at once:
-  blocks with no clamped coordinate through one multi-RHS solve with
-  H's banded Cholesky factor, taken once per channel, and only blocks
-  with a clamped coordinate through one block-diagonal banded Cholesky
+  blocks with no clamped coordinate, at every K, through one multi-RHS
+  solve with H's banded Cholesky factor, taken once per channel, and only
+  blocks with a clamped coordinate through one block-diagonal banded
   solve of their free-coordinate systems.
 """
 
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -77,28 +77,31 @@ def _float_field(config, name, ok, rule):
     object.__setattr__(config, name, value)
 
 
+# the Newton solve's Armijo constant, backtracking factor and active-set threshold
+ARMIJO_C = 1e-4
+BACKTRACK_FACTOR = 0.5
+ACTIVE_SET_EPS = 1e-10
+
+
 @dataclass(frozen=True)
 class NewtonSettings:
-    """Knobs for the projected Newton coefficient solver.
+    """Stopping rule of the projected Newton coefficient solver.
 
     ``grad_tol`` is absolute: the largest entry of each block's projected
     gradient must fall below it, whatever the scale of the data.  Data far
     from unit scale needs normalizing (the CLI's default) or a scaled
     ``grad_tol``, or ``train`` raises "projected Newton did not converge".
+    The line search and active set use the fixed module constants
+    ``ARMIJO_C`` (1e-4), ``BACKTRACK_FACTOR`` (0.5) and ``ACTIVE_SET_EPS``
+    (1e-10).
     """
 
     max_iters: int = 50
     grad_tol: float = 1e-8
-    armijo_c: float = 1e-4
-    backtrack_factor: float = 0.5
-    active_set_eps: float = 1e-10
 
     def __post_init__(self):
         _int_field(self, "max_iters", 1)
         _float_field(self, "grad_tol", lambda v: v > 0, "be positive")
-        _float_field(self, "armijo_c", lambda v: 0 < v < 1, "lie in (0, 1)")
-        _float_field(self, "backtrack_factor", lambda v: 0 < v < 1, "lie in (0, 1)")
-        _float_field(self, "active_set_eps", lambda v: v >= 0, "be >= 0")
 
 
 def prox_nonneg_l1(v, beta, weight, out=None):
@@ -278,12 +281,11 @@ def _hessian_bands(kernel, n, shift):
 def _newton_direction(bands, grad, free):
     """H_FF^{-1} g_F on the free coordinates and g_C on the clamped ones, per block.
 
-    The solver sends only blocks with a clamped coordinate here (and every
-    block when K = 2; see :func:`_newton_channel`).  The blocks sit end to
-    end in one block-diagonal banded matrix; the zero tail of each band row
-    keeps bands from crossing a block boundary.  Clamped coordinates get
-    identity rows and columns, which decouples them, so one banded
-    Cholesky solve covers every block.
+    The solver sends only blocks with a clamped coordinate here.  They sit
+    end to end in one block-diagonal banded matrix; the zero tail of each
+    band row keeps bands from crossing a block boundary.  Clamped coordinates get
+    identity rows and columns, which decouples them, so one banded solve
+    covers every block.
     """
     count, n = grad.shape
     flat_free = free.ravel()
@@ -316,9 +318,10 @@ def _free_direction(factor, grad):
     """H^{-1} g for every block (row) of ``grad``, from H's banded Cholesky factor.
 
     One multi-RHS ``cho_solve_banded`` call.  For a block with no clamped
-    coordinate this gives the bits of :func:`_newton_direction`: the tiled
-    factor of such a block is H's factor, and both solves run the same
-    LAPACK banded substitutions column by column.
+    coordinate this gives the bits of :func:`_newton_direction` at K >= 3:
+    the tiled factor of such a block is H's factor, and both solves run the
+    same LAPACK banded substitutions column by column (at K = 2 the tiled
+    solve is an LDL^T one, equal to round-off).
     """
     return scipy.linalg.cho_solve_banded((factor, True), grad.T, check_finite=False).T
 
@@ -360,9 +363,6 @@ def _newton_channel(z, anchor, below, above, kernel, beta, inv_g2, st):
     Returns (converged, iterations): iterations is the most any block used.
     """
     bands = _hessian_bands(kernel, z.shape[1], 1.0 + inv_g2)
-    # solveh_banded solves a two-band (K = 2) system by LDL^T (?ptsv), not
-    # by Cholesky, so a shared Cholesky factor would not reproduce its bits
-    shared = bands.shape[0] != 2
     factor = None
 
     # the active blocks: rows of z, their anchor/below/above rows, iterates,
@@ -376,7 +376,7 @@ def _newton_channel(z, anchor, below, above, kernel, beta, inv_g2, st):
     converged, used = True, 0
     for it in range(st.max_iters):
         grad = _block_gradient(zs, cz, a, b, c, kernel, beta, inv_g2)
-        free = (zs > st.active_set_eps) | (grad < 0.0)
+        free = (zs > ACTIVE_SET_EPS) | (grad < 0.0)
         # blocks that meet first-order optimality stop here; at it == 0
         # this leaves already-optimal blocks untouched
         keep = np.abs(np.where(free, grad, 0.0)).max(axis=1) > st.grad_tol
@@ -389,7 +389,7 @@ def _newton_channel(z, anchor, below, above, kernel, beta, inv_g2, st):
             return converged, used
         if it == 0 and not np.all(np.isfinite(f)):
             raise NumericalConditioningError("coefficient block objective is not finite")
-        full = free.all(axis=1) & shared
+        full = free.all(axis=1)
         if full.any() and factor is None:
             factor = _cholesky_bands(bands)
         if full.all():
@@ -416,7 +416,7 @@ def _newton_channel(z, anchor, below, above, kernel, beta, inv_g2, st):
                     "coefficient line search produced a non-finite value"
                 )
             decrease = np.einsum("ij,ij->i", grad[sel], zs[sel] - zt)
-            ok = (ft <= f[sel] - st.armijo_c * np.maximum(decrease, 0.0)) & (ft <= f[sel])
+            ok = (ft <= f[sel] - ARMIJO_C * np.maximum(decrease, 0.0)) & (ft <= f[sel])
             if whole and ok.all():
                 # every block accepts this step: the trial arrays are the new iterates
                 new_z, new_cz, new_f = zt, czt, ft
@@ -426,7 +426,7 @@ def _newton_channel(z, anchor, below, above, kernel, beta, inv_g2, st):
             done = trial[ok]
             new_z[done], new_cz[done], new_f[done] = zt[ok], czt[ok], ft[ok]
             trial = trial[~ok]
-            step[trial] *= st.backtrack_factor
+            step[trial] *= BACKTRACK_FACTOR
             # direction numerically exhausted: the block keeps its iterate
             exhausted = step[trial] < 1e-14
             if exhausted.any():
@@ -448,25 +448,19 @@ def projected_newton_coeffs(z0, quad, beta, gamma2, settings=None):
     because the channel-wise convolution with bank_above never mixes
     channels; each block of channel k shares the Hessian
     H_k = C_k^T C_k + (1 + 1/gamma2) Id, banded with half-bandwidth K - 1
-    and built once per channel from the kernel taps.  Per channel, every
-    unconverged block takes its projected Newton step together.  Blocks
-    with no clamped coordinate solve H_k z = g in one multi-RHS call with
-    H_k's banded Cholesky factor, taken once per channel; only blocks with
-    a clamped coordinate put their free-coordinate systems in one
-    block-diagonal banded matrix (identity on clamped coordinates) solved
-    by a single banded Cholesky call.  Both give the same bits for a
-    fully free block.  At K = 2, where the tiled solve is an LDL^T one,
-    every block takes the tiled solve.  The Armijo backtracking keeps a
-    step size per block.
-    Blocks whose start point already satisfies first-order optimality are
-    left untouched.  Returns the updated (M, N, K) array, channel-major
-    (see :func:`dctl.conv.channel_major`) so that each channel's solve
-    writes one contiguous block, plus a flag that
-    is False when some block hit ``max_iters`` before reaching ``grad_tol``
-    or its line search ran out of step (the best iterate is still
-    returned; the line search never accepts an increase, so the objective
-    never exceeds its value at ``z0``), and the most iterations any block
-    used.
+    and built once per channel from the kernel taps, and every unconverged
+    block of a channel takes its projected Newton step together (see
+    :func:`_newton_channel`).  ``settings`` sets only ``max_iters`` and
+    ``grad_tol``; the Armijo constant ``ARMIJO_C``, backtracking factor
+    ``BACKTRACK_FACTOR`` and active-set threshold ``ACTIVE_SET_EPS`` are
+    fixed.  Blocks whose start point already satisfies first-order
+    optimality are left untouched.  Returns the updated (M, N, K) array,
+    channel-major (see :func:`dctl.conv.channel_major`) so that each
+    channel's solve writes one contiguous block, plus a flag that is False
+    when some block hit ``max_iters`` before reaching ``grad_tol`` or its
+    line search ran out of step (the best iterate is still returned; the
+    line search never accepts an increase, so the objective never exceeds
+    its value at ``z0``), and the most iterations any block used.
     """
     if not isinstance(quad, CoeffQuadratics):
         raise ValueError("quad must be a CoeffQuadratics instance")

@@ -5,9 +5,9 @@ dense grid searches, brute-force pair enumeration, or long-running
 first-order methods.  None of it calls into the package, so the package
 and these references can only agree when both are right.
 
-The one exception in kind is ``projected_newton_reference``: a frozen
-copy of the batched projected Newton solver as it stood before blocks
-with no clamped coordinate shared one Cholesky factor per channel.  It
+The one exception in kind is ``projected_newton_reference``: a frozen,
+plainer copy of the batched projected Newton solver that reads the
+solver's line-search and active-set constants from ``dctl.prox``.  It
 is not independent of the package's arithmetic; it pins the solver's
 output bit for bit, so that a speed-up that changes round-off fails.
 ``parse_csv_reference`` and ``knn_order_reference`` are frozen copies of
@@ -23,6 +23,8 @@ import numpy as np
 import scipy.linalg
 from scipy.ndimage import convolve1d, correlate1d
 from scipy.spatial.distance import cdist
+
+import dctl.prox
 
 __all__ = [
     "conv_direct",
@@ -254,9 +256,12 @@ def newton_channel_reference(z, anchor, below, above, kernel, beta, inv_g2, st):
     """The frozen per-channel projected Newton loop, in place on ``z``.
 
     Every block of the channel takes its Newton step through the tiled
-    solve, and the line search gathers anchor/below/above rows on every
-    use.  The solver's checks that raise on non-finite values are left
-    out.  Returns (converged, iterations).
+    solve, except that a block with no clamped coordinate solves with H's
+    banded Cholesky factor, refactored every iteration (at K >= 3 the same
+    bits as the tiled solve; at K = 2 the tiled solve is an LDL^T one).
+    The line search gathers anchor/below/above rows on every use.  The
+    solver's checks that raise on non-finite values are left out.
+    Returns (converged, iterations).
     """
     bands = _hessian_bands_reference(kernel, z.shape[1], 1.0 + inv_g2)
 
@@ -279,7 +284,7 @@ def newton_channel_reference(z, anchor, below, above, kernel, beta, inv_g2, st):
     for it in range(st.max_iters):
         residual = _conv_rows_reference(cz - above[rows], kernel, adjoint=True)
         grad = inv_g2 * (zs - anchor[rows]) + (zs - below[rows]) + residual + beta
-        free = (zs > st.active_set_eps) | (grad < 0.0)
+        free = (zs > dctl.prox.ACTIVE_SET_EPS) | (grad < 0.0)
         keep = np.abs(np.where(free, grad, 0.0)).max(axis=1) > st.grad_tol
         if not keep.all():
             used = max(used, it)
@@ -287,6 +292,10 @@ def newton_channel_reference(z, anchor, below, above, kernel, beta, inv_g2, st):
         if not rows.size:
             return converged, used
         direction = _tiled_direction_reference(bands, grad, free)
+        full = free.all(axis=1)
+        if full.any():
+            factor = scipy.linalg.cholesky_banded(bands, lower=True)
+            direction[full] = scipy.linalg.cho_solve_banded((factor, True), grad[full].T).T
         step = np.ones(rows.size)
         trial = np.arange(rows.size)
         stalled = np.zeros(rows.size, dtype=bool)
@@ -296,11 +305,12 @@ def newton_channel_reference(z, anchor, below, above, kernel, beta, inv_g2, st):
             czt = _conv_rows_reference(zt, kernel)
             ft = value(zt, czt, rows[trial])
             decrease = np.einsum("ij,ij->i", grad[trial], zs[trial] - zt)
-            ok = (ft <= f[trial] - st.armijo_c * np.maximum(decrease, 0.0)) & (ft <= f[trial])
+            armijo = dctl.prox.ARMIJO_C * np.maximum(decrease, 0.0)
+            ok = (ft <= f[trial] - armijo) & (ft <= f[trial])
             done = trial[ok]
             new_z[done], new_cz[done], new_f[done] = zt[ok], czt[ok], ft[ok]
             trial = trial[~ok]
-            step[trial] *= st.backtrack_factor
+            step[trial] *= dctl.prox.BACKTRACK_FACTOR
             exhausted = step[trial] < 1e-14
             if exhausted.any():
                 converged, used = False, max(used, it + 1)

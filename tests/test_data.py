@@ -480,6 +480,24 @@ def test_write_csv_validation(tmp_path):
     assert not path.exists()
 
 
+def test_as_labels_refuses_unsigned_labels_no_int64_holds():
+    # a uint64 of 2**63 or more would wrap to a negative int64
+    for big in (2**63, 2**64 - 1):
+        with pytest.raises(ValueError, match="^labels contain out-of-range values"):
+            dctl.data.as_labels(np.array([0, big], dtype=np.uint64), 2)
+    top = dctl.data.as_labels(np.array([2**63 - 1], dtype=np.uint64), 1)
+    assert top.dtype == np.int64 and top.tolist() == [2**63 - 1]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_non_finite_labels_are_non_integer_without_a_warning():
+    for bad in (np.inf, -np.inf, np.nan):
+        with pytest.raises(ValueError, match="^labels contain non-integer values"):
+            dctl.data.as_labels(np.array([0.0, bad]), 2)
+        with pytest.raises(DatasetFormatError, match="label column contains non-integer"):
+            split_labels(np.array([[1.0, 0.0], [1.0, bad]]), True)
+
+
 def test_write_csv_refuses_labels_split_labels_would_refuse(tmp_path):
     path = tmp_path / "out.csv"
     for labels, problem in (([1.7, 0], "non-integer"), ([0, np.nan], "non-integer"),

@@ -170,6 +170,10 @@ def with_metadata(payload, edit):
     return body + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF)
 
 
+# the Newton settings earlier versions stored, at the only values they took
+RETIRED_NEWTON = {"armijo_c": 1e-4, "backtrack_factor": 0.5, "active_set_eps": 1e-10}
+
+
 BAD_CONFIGS = {
     "unknown_key": lambda meta: meta["config"].update(surprise=1),
     "newton_not_a_mapping": lambda meta: meta["config"].update(newton=5),
@@ -222,6 +226,7 @@ METADATA_KEYS = (
     [("config",), ("samples",), ("trace",), ("trace", 0), ("trace", 0, 0), ("trace", 0, 2)]
     + [("config", f.name) for f in dataclasses.fields(ModelConfig)]
     + [("config", "newton", f.name) for f in dataclasses.fields(NewtonSettings)]
+    + [("config", "newton", name) for name in RETIRED_NEWTON]
 )
 
 
@@ -241,6 +246,39 @@ def test_any_json_value_under_a_metadata_key_loads_or_is_model_file_error(
         assert isinstance(load_model(path), TrainedModel)
     except ModelFileError:
         pass
+
+
+def earlier_layout(payload, **newton):
+    """The model file as earlier versions wrote it, with all five Newton
+    settings; ``newton`` overrides the retired ones' values."""
+    def edit(meta):
+        meta["config"]["newton"].update(RETIRED_NEWTON, **newton)
+        return json.dumps(meta, sort_keys=True).encode("utf-8")
+
+    return with_metadata(payload, edit)
+
+
+def test_file_of_earlier_layout_loads_and_encodes_the_same(tmp_path, trained):
+    model, signals = trained
+    path, payload = saved_bytes(tmp_path, model)
+    assert b"armijo_c" not in payload  # new files leave the retired keys out
+    path.write_bytes(earlier_layout(payload))
+    loaded = load_model(path)
+    assert loaded.config == model.config
+    assert encode(loaded, signals).tobytes() == encode(model, signals).tobytes()
+    resaved = tmp_path / "resaved.dctl"
+    save_model(resaved, loaded)
+    assert resaved.read_bytes() == payload
+
+
+@pytest.mark.parametrize("key, value", [("armijo_c", 0.5), ("backtrack_factor", 0.25),
+                                        ("active_set_eps", 0.0)])
+def test_file_of_earlier_layout_with_other_newton_settings_is_refused(
+        tmp_path, trained, key, value):
+    path, payload = saved_bytes(tmp_path, trained[0])
+    path.write_bytes(earlier_layout(payload, **{key: value}))
+    with pytest.raises(ModelFileError, match=f"^metadata blob .*newton {key} is fixed"):
+        load_model(path)
 
 
 def test_every_truncation_and_bit_flip_is_model_file_error(tmp_path, trained):

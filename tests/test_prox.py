@@ -1,5 +1,7 @@
 """Proximity operators and the projected Newton coefficient solver."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -7,7 +9,9 @@ import scipy.optimize
 
 import dctl.data
 import dctl.model
+import dctl.prox
 from dctl.prox import (
+    ACTIVE_SET_EPS,
     CoeffQuadratics,
     NewtonSettings,
     NumericalConditioningError,
@@ -335,9 +339,11 @@ def test_newton_settings_defaults():
     st = NewtonSettings()
     assert st.max_iters == 50
     assert st.grad_tol == 1e-8
-    assert st.armijo_c == 1e-4
-    assert st.backtrack_factor == 0.5
-    assert st.active_set_eps == 1e-10
+    # the line search and active set are fixed, not settings
+    assert [f.name for f in dataclasses.fields(st)] == ["max_iters", "grad_tol"]
+    assert dctl.prox.ARMIJO_C == 1e-4
+    assert dctl.prox.BACKTRACK_FACTOR == 0.5
+    assert ACTIVE_SET_EPS == 1e-10
 
 
 def test_newton_settings_validation():
@@ -346,13 +352,10 @@ def test_newton_settings_validation():
     with pytest.raises(ValueError):
         NewtonSettings(grad_tol=0.0)
     with pytest.raises(ValueError):
-        NewtonSettings(armijo_c=1.0)
-    with pytest.raises(ValueError):
-        NewtonSettings(backtrack_factor=0.0)
-    with pytest.raises(ValueError):
-        NewtonSettings(active_set_eps=-1.0)
-    with pytest.raises(ValueError):
-        NewtonSettings(active_set_eps=float("nan"))
+        NewtonSettings(grad_tol=float("nan"))
+    for retired in ("armijo_c", "backtrack_factor", "active_set_eps"):
+        with pytest.raises(TypeError, match=retired):
+            NewtonSettings(**{retired: 0.5})
 
 
 def test_newton_settings_max_iters_is_an_int():
@@ -362,8 +365,7 @@ def test_newton_settings_max_iters_is_an_int():
     assert type(NewtonSettings(max_iters=np.int32(7)).max_iters) is int
 
 
-@pytest.mark.parametrize("name", ["grad_tol", "armijo_c", "backtrack_factor",
-                                  "active_set_eps"])
+@pytest.mark.parametrize("name", ["grad_tol"])
 def test_newton_settings_float_fields_refuse_bools(name):
     with pytest.raises(ValueError, match=f"^{name} must be a real number"):
         NewtonSettings(**{name: True})
@@ -436,7 +438,7 @@ def test_projected_newton_first_order_optimality():
         result = projected_newton_coeffs(z0, quad, beta, gamma2)
         grad = coeff_grad(result.coeffs, z0, quad, beta, gamma2)
         tol = 10 * NewtonSettings().grad_tol
-        interior = result.coeffs > NewtonSettings().active_set_eps
+        interior = result.coeffs > ACTIVE_SET_EPS
         assert np.all(np.abs(grad[interior]) <= tol)
         assert np.all(grad[~interior] >= -tol)
 
@@ -498,11 +500,11 @@ def test_newton_direction_matches_dense_active_set_split():
 
 
 def test_free_direction_matches_dense_solve_and_tiled_bits():
-    # blocks with no clamped coordinate solve with H's shared banded factor:
-    # H^{-1} g to 1e-10, and the tiled solve's bits wherever the solver
-    # uses the shared factor (every K but 2, which solveh_banded does by LDL^T)
+    # blocks with no clamped coordinate solve with H's shared banded factor
+    # at every K: H^{-1} g to 1e-10, and the tiled solve's bits at every K
+    # but 2, where solveh_banded factors by LDL^T and agrees to 1e-10
     rng = np.random.default_rng(44)
-    for k, n in ((1, 5), (2, 7), (3, 9), (4, 4), (6, 11), (8, 128)):
+    for k, n in ((1, 5), (2, 7), (2, 128), (3, 9), (4, 4), (6, 11), (8, 128)):
         kernel = rng.standard_normal(k)
         cmat = conv_matrix_direct(kernel, n)
         hess = cmat.T @ cmat + 1.5 * np.eye(n)
@@ -511,8 +513,10 @@ def test_free_direction_matches_dense_solve_and_tiled_bits():
         direction = _free_direction(_cholesky_bands(bands), grad)
         expected = np.linalg.solve(hess, grad.T).T
         assert np.allclose(direction, expected, rtol=1e-10, atol=1e-12), (k, n)
-        if k != 2:
-            tiled = _newton_direction(bands, grad, np.ones((5, n), dtype=bool))
+        tiled = _newton_direction(bands, grad, np.ones((5, n), dtype=bool))
+        if k == 2:
+            assert np.allclose(direction, tiled, rtol=1e-10, atol=1e-12), n
+        else:
             assert direction.tobytes() == tiled.tobytes(), (k, n)
 
 
@@ -555,7 +559,8 @@ def _newton_reference_instance(rng, m, n, k, kind=None):
         (9, 12, 4, None, NewtonSettings()),  # free, clamped and mixed blocks
         (6, 12, 4, 1, NewtonSettings()),  # all clamped
         (9, 10, 3, None, NewtonSettings(max_iters=1, grad_tol=1e-14)),  # unconverged
-        (9, 12, 4, None, NewtonSettings(armijo_c=0.9, backtrack_factor=1e-15)),  # stalls
+        # stalls: a dict gives module constants to patch, with default settings
+        (9, 12, 4, None, {"ARMIJO_C": 0.9, "BACKTRACK_FACTOR": 1e-15}),
         # Armijo decisions at round-off level, where the order of the terms
         # of a block's value decides them
         (30, 32, 4, None, NewtonSettings(max_iters=12, grad_tol=1e-15)),
@@ -565,7 +570,11 @@ def _newton_reference_instance(rng, m, n, k, kind=None):
         (12, 1024, 8, None, NewtonSettings()),
     ],
 )
-def test_projected_newton_matches_reference_bitwise(m, n, k, kind, settings):
+def test_projected_newton_matches_reference_bitwise(m, n, k, kind, settings, monkeypatch):
+    if isinstance(settings, dict):
+        for name, value in settings.items():
+            monkeypatch.setattr(dctl.prox, name, value)
+        settings = NewtonSettings()
     rng = np.random.default_rng(45 + n + k)
     z0, quad = _newton_reference_instance(rng, m, n, k, kind)
     beta, gamma2 = 0.05, 1.5
@@ -575,12 +584,11 @@ def test_projected_newton_matches_reference_bitwise(m, n, k, kind, settings):
     )
     assert result.coeffs.tobytes() == coeffs.tobytes()
     assert (result.converged, result.iterations) == (converged, iterations)
-    eps = settings.active_set_eps
     if kind == 0:
-        assert np.all(result.coeffs > eps)
+        assert np.all(result.coeffs > ACTIVE_SET_EPS)
     if kind == 1:
         assert not np.any(result.coeffs)
-    if settings.backtrack_factor < 1e-14:
+    if dctl.prox.BACKTRACK_FACTOR < 1e-14:
         assert not converged and iterations < settings.max_iters
     if settings.max_iters == 1:
         assert not converged
@@ -627,7 +635,7 @@ def test_projected_newton_mixed_free_and_clamped_blocks():
     result = projected_newton_coeffs(z0, quad, beta, gamma2)
     assert result.converged
     z = result.coeffs
-    eps = NewtonSettings().active_set_eps
+    eps = ACTIVE_SET_EPS
     assert np.all(z[:2] > eps)
     assert not np.any(z[2:4])
     mixed = z[4:].transpose(0, 2, 1).reshape(-1, n)
