@@ -46,7 +46,6 @@ from .persistence import (
 )
 from .prox import (
     CoeffQuadratics,
-    NewtonSettings,
     NumericalConditioningError,
     TransformUpdateInputs,
     projected_newton_coeffs,
@@ -69,7 +68,6 @@ __all__ = [
     "ModelFileMagicError",
     "ModelFileTruncatedError",
     "ModelFileVersionError",
-    "NewtonSettings",
     "NumericalConditioningError",
     "TrainedModel",
     "TrainingError",

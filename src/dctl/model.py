@@ -26,20 +26,19 @@ contiguous channels; ``encode`` writes its last layer position-major so
 that the (M, N K) features it returns are a view of it.
 """
 
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import dataclass
 
 import numpy as np
 
 from .conv import channelwise_forward, toeplitz_stack, toeplitz_windows
 # unused, but bench/tracing.py's TRACE_POINTS look this name up on the module
 from .conv import conv_same_matrix  # noqa: F401
+from . import prox
 from .prox import (
     CoeffQuadratics,
-    NewtonSettings,
     NumericalConditioningError,
     TransformUpdateInputs,
-    _float_field,
-    _int_field,
     projected_newton_coeffs,
     prox_nonneg_l1,
     update_transform,
@@ -57,6 +56,32 @@ __all__ = [
 
 class TrainingError(RuntimeError):
     """Training aborted; the message names the iteration, layer and step."""
+
+
+def _int_field(config, name, minimum):
+    """Store field ``name`` of the frozen dataclass ``config`` as an ``int``
+    of at least ``minimum``, or raise ValueError naming it.  Numpy integers
+    are taken; bools and non-integers are refused, because ``True == 1``
+    and ``2.5 >= 1`` would pass a value check, and ``json`` cannot write a
+    numpy integer into a model file."""
+    value = getattr(config, name)
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}")
+    object.__setattr__(config, name, int(value))
+
+
+def _float_field(config, name, ok, rule):
+    """The float twin of ``_int_field``: store any real but a bool as a
+    ``float`` for which ``ok`` holds, or raise "<name> must <rule>"."""
+    value = getattr(config, name)
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    value = float(value)
+    if not ok(value):
+        raise ValueError(f"{name} must {rule}")
+    object.__setattr__(config, name, value)
 
 
 @dataclass(frozen=True)
@@ -81,7 +106,6 @@ class ModelConfig:
     max_outer_iters: int = 100
     objective_tol: float = 1e-6
     seed: int = 0
-    newton: NewtonSettings = field(default_factory=NewtonSettings)
 
     def __post_init__(self):
         _int_field(self, "num_layers", 1)
@@ -94,8 +118,6 @@ class ModelConfig:
         _float_field(self, "gamma1", lambda v: np.isfinite(v) and v > 0, "be finite and positive")
         _float_field(self, "gamma2", lambda v: np.isfinite(v) and v > 0, "be finite and positive")
         _float_field(self, "objective_tol", lambda v: v >= 0, "be >= 0")
-        if not isinstance(self.newton, NewtonSettings):
-            raise ValueError("newton must be a NewtonSettings instance")
 
 
 @dataclass
@@ -265,16 +287,14 @@ def _newton_step(layer, transforms, coeffs, below, config, where):
     response ``below`` and the layer above, or TrainingError."""
     quad = CoeffQuadratics(below, transforms[layer + 1], coeffs[layer + 1])
     try:
-        result = projected_newton_coeffs(
-            coeffs[layer], quad, config.beta, config.gamma2, config.newton
-        )
+        result = projected_newton_coeffs(coeffs[layer], quad, config.beta, config.gamma2)
     except NumericalConditioningError as exc:
         raise TrainingError(f"{where}, coefficient update: {exc}") from exc
     if not result.converged:
         raise TrainingError(
             f"{where}, coefficient update: projected Newton did not converge "
-            f"to grad_tol={config.newton.grad_tol:g} within "
-            f"{config.newton.max_iters} iterations"
+            f"to grad_tol={prox._grad_tol(coeffs[layer], quad):g} "
+            f"within {prox.MAX_ITERS} iterations"
         )
     return result.coeffs
 

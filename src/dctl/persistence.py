@@ -25,7 +25,7 @@ import zlib
 import numpy as np
 
 from .model import ModelConfig, TrainedModel
-from .prox import ACTIVE_SET_EPS, ARMIJO_C, BACKTRACK_FACTOR, NewtonSettings
+from .prox import ACTIVE_SET_EPS, ARMIJO_C, BACKTRACK_FACTOR, GRAD_TOL, MAX_ITERS
 
 __all__ = [
     "MAGIC",
@@ -41,9 +41,11 @@ __all__ = [
 
 MAGIC = b"DCTL"
 FORMAT_VERSION = 1
-# Newton settings that earlier files store and the solver now fixes
+# Newton settings that earlier files store under "newton" and the solver now
+# fixes; such a file loads only when each holds its fixed value and JSON type
 RETIRED_NEWTON_KEYS = {"armijo_c": ARMIJO_C, "backtrack_factor": BACKTRACK_FACTOR,
-                       "active_set_eps": ACTIVE_SET_EPS}
+                       "active_set_eps": ACTIVE_SET_EPS, "max_iters": MAX_ITERS,
+                       "grad_tol": GRAD_TOL}
 
 
 class ModelFileError(ValueError):
@@ -158,9 +160,12 @@ def _decode(data):
     try:
         newton = {**raw_config.pop("newton", {})}
         for key, fixed in RETIRED_NEWTON_KEYS.items():
-            if (value := newton.pop(key, fixed)) != fixed:
+            value = newton.pop(key, fixed)
+            if type(value) is not type(fixed) or value != fixed:
                 raise ValueError(f"newton {key} is fixed at {fixed!r}, got {value!r}")
-        config = ModelConfig(**raw_config, newton=NewtonSettings(**newton))
+        if newton:
+            raise ValueError(f"unknown newton keys {sorted(newton)}")
+        config = ModelConfig(**raw_config)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ModelFileError(f"metadata blob holds an invalid configuration: {exc}") from exc
     if config.num_layers != num_layers or config.num_kernels != k:

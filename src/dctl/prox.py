@@ -18,10 +18,11 @@ subproblems the alternating trainer cycles through:
   blocks with no clamped coordinate, at every K, through one multi-RHS
   solve with H's banded Cholesky factor, taken once per channel, and only
   blocks with a clamped coordinate through one block-diagonal banded
-  solve of their free-coordinate systems.
+  solve of their free-coordinate systems.  The solver takes no settings:
+  its iteration cap, line search and active set are module constants,
+  and its stopping tolerance scales with the largest entry of its inputs.
 """
 
-import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -36,7 +37,6 @@ from .conv import conv_same_matrix  # noqa: F401
 
 __all__ = [
     "NumericalConditioningError",
-    "NewtonSettings",
     "TransformUpdateInputs",
     "CoeffQuadratics",
     "NewtonResult",
@@ -51,57 +51,13 @@ class NumericalConditioningError(RuntimeError):
     """An inner solve hit a numerically hopeless matrix or value."""
 
 
-def _int_field(config, name, minimum):
-    """Store field ``name`` of the frozen dataclass ``config`` as an ``int``
-    of at least ``minimum``, or raise ValueError naming it.  Numpy integers
-    are taken; bools and non-integers are refused, because ``True == 1``
-    and ``2.5 >= 1`` would pass a value check, and ``json`` cannot write a
-    numpy integer into a model file."""
-    value = getattr(config, name)
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    if value < minimum:
-        raise ValueError(f"{name} must be >= {minimum}")
-    object.__setattr__(config, name, int(value))
-
-
-def _float_field(config, name, ok, rule):
-    """The float twin of ``_int_field``: store any real but a bool as a
-    ``float`` for which ``ok`` holds, or raise "<name> must <rule>"."""
-    value = getattr(config, name)
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ValueError(f"{name} must be a real number, got {value!r}")
-    value = float(value)
-    if not ok(value):
-        raise ValueError(f"{name} must {rule}")
-    object.__setattr__(config, name, value)
-
-
-# the Newton solve's Armijo constant, backtracking factor and active-set threshold
+# the Newton solve's Armijo constant, backtracking factor and active-set
+# threshold, its iteration cap, and its gradient tolerance at unit scale
 ARMIJO_C = 1e-4
 BACKTRACK_FACTOR = 0.5
 ACTIVE_SET_EPS = 1e-10
-
-
-@dataclass(frozen=True)
-class NewtonSettings:
-    """Stopping rule of the projected Newton coefficient solver.
-
-    ``grad_tol`` is absolute: the largest entry of each block's projected
-    gradient must fall below it, whatever the scale of the data.  Data far
-    from unit scale needs normalizing (the CLI's default) or a scaled
-    ``grad_tol``, or ``train`` raises "projected Newton did not converge".
-    The line search and active set use the fixed module constants
-    ``ARMIJO_C`` (1e-4), ``BACKTRACK_FACTOR`` (0.5) and ``ACTIVE_SET_EPS``
-    (1e-10).
-    """
-
-    max_iters: int = 50
-    grad_tol: float = 1e-8
-
-    def __post_init__(self):
-        _int_field(self, "max_iters", 1)
-        _float_field(self, "grad_tol", lambda v: v > 0, "be positive")
+MAX_ITERS = 50
+GRAD_TOL = 1e-8
 
 
 def prox_nonneg_l1(v, beta, weight, out=None):
@@ -350,20 +306,21 @@ def _block_gradient(zs, cz, a, b, c, kernel, beta, inv_g2):
     return inv_g2 * (zs - a) + (zs - b) + residual + beta
 
 
-def _newton_channel(z, anchor, below, above, kernel, beta, inv_g2, st):
+def _newton_channel(z, anchor, below, above, kernel, beta, inv_g2, tol):
     """Minimize every block (row) of one channel over z >= 0, in place on ``z``.
 
     Block m minimizes the strictly convex :func:`_block_values` with the
     anchor, below and above rows m.  All blocks share the Hessian H,
     so each iteration takes one Newton step for every unconverged block at
-    once, with an Armijo backtracking step size per block.  Blocks with no
-    clamped coordinate solve with one banded Cholesky factor of H, taken
-    the first time such a block appears; only blocks with a clamped
-    coordinate go through the tiled solve of :func:`_newton_direction`.
-    Returns (converged, iterations): iterations is the most any block used.
+    once, with an Armijo backtracking step size per block.  A block stops
+    once no entry of its projected gradient exceeds ``tol``.  Blocks with
+    no clamped coordinate solve with one banded Cholesky factor of H, taken
+    before the first iteration; only blocks with a clamped coordinate go
+    through the tiled solve of :func:`_newton_direction`.  Returns
+    (converged, iterations): iterations is the most any block used.
     """
     bands = _hessian_bands(kernel, z.shape[1], 1.0 + inv_g2)
-    factor = None
+    factor = _cholesky_bands(bands)
 
     # the active blocks: rows of z, their anchor/below/above rows, iterates,
     # responses C z and values, all filtered together when a block stops;
@@ -374,12 +331,12 @@ def _newton_channel(z, anchor, below, above, kernel, beta, inv_g2, st):
     cz = _conv_rows(zs, kernel)
     f = _block_values(zs, cz, a, b, c, beta, inv_g2)
     converged, used = True, 0
-    for it in range(st.max_iters):
+    for it in range(MAX_ITERS):
         grad = _block_gradient(zs, cz, a, b, c, kernel, beta, inv_g2)
         free = (zs > ACTIVE_SET_EPS) | (grad < 0.0)
         # blocks that meet first-order optimality stop here; at it == 0
         # this leaves already-optimal blocks untouched
-        keep = np.abs(np.where(free, grad, 0.0)).max(axis=1) > st.grad_tol
+        keep = np.abs(np.where(free, grad, 0.0)).max(axis=1) > tol
         if not keep.all():
             used = max(used, it)
             rows, zs, cz, f, grad, free, a, b, c = (
@@ -390,8 +347,6 @@ def _newton_channel(z, anchor, below, above, kernel, beta, inv_g2, st):
         if it == 0 and not np.all(np.isfinite(f)):
             raise NumericalConditioningError("coefficient block objective is not finite")
         full = free.all(axis=1)
-        if full.any() and factor is None:
-            factor = _cholesky_bands(bands)
         if full.all():
             direction = _free_direction(factor, grad)
         else:
@@ -438,10 +393,21 @@ def _newton_channel(z, anchor, below, above, kernel, beta, inv_g2, st):
         if stalled.any():
             going = ~stalled
             rows, zs, cz, f, a, b, c = (x[going] for x in (rows, zs, cz, f, a, b, c))
-    return False, st.max_iters
+    return False, MAX_ITERS
 
 
-def projected_newton_coeffs(z0, quad, beta, gamma2, settings=None):
+def _grad_tol(z0, quad):
+    """The Newton stop: ``GRAD_TOL`` times the largest of 1 and every |entry|
+    of ``z0``, ``quad.below`` and ``quad.above``, found without a full-size
+    temporary; NumericalConditioningError when an entry is not finite."""
+    scale = np.max([(x.max(initial=1.0), -x.min(initial=-1.0))
+                    for x in (z0, quad.below, quad.above)])
+    if not np.isfinite(scale):
+        raise NumericalConditioningError("coefficient data is not finite")
+    return GRAD_TOL * float(scale)
+
+
+def projected_newton_coeffs(z0, quad, beta, gamma2):
     """Solve every (sample, channel) coefficient block over the orthant.
 
     The coupled coefficient objective decomposes per sample m and channel k
@@ -450,23 +416,23 @@ def projected_newton_coeffs(z0, quad, beta, gamma2, settings=None):
     H_k = C_k^T C_k + (1 + 1/gamma2) Id, banded with half-bandwidth K - 1
     and built once per channel from the kernel taps, and every unconverged
     block of a channel takes its projected Newton step together (see
-    :func:`_newton_channel`).  ``settings`` sets only ``max_iters`` and
-    ``grad_tol``; the Armijo constant ``ARMIJO_C``, backtracking factor
-    ``BACKTRACK_FACTOR`` and active-set threshold ``ACTIVE_SET_EPS`` are
-    fixed.  Blocks whose start point already satisfies first-order
-    optimality are left untouched.  Returns the updated (M, N, K) array,
-    channel-major (see :func:`dctl.conv.channel_major`) so that each
-    channel's solve writes one contiguous block, plus a flag that is False
-    when some block hit ``max_iters`` before reaching ``grad_tol`` or its
-    line search ran out of step (the best iterate is still returned; the
-    line search never accepts an increase, so the objective never exceeds
-    its value at ``z0``), and the most iterations any block used.
+    :func:`_newton_channel`).  It takes no settings.  A block stops once
+    every entry of its projected gradient is at most ``GRAD_TOL`` (1e-8)
+    times the inputs' scale, the largest of 1 and every |entry| of ``z0``,
+    ``quad.below`` and ``quad.above``, so data of any magnitude meets the
+    stop; the cap is ``MAX_ITERS`` (50) iterations, and the Armijo constant
+    ``ARMIJO_C``, backtracking factor ``BACKTRACK_FACTOR`` and active-set
+    threshold ``ACTIVE_SET_EPS`` are fixed too.  Blocks whose start point
+    already meets the stop are left untouched.  Returns the updated
+    (M, N, K) array, channel-major (see :func:`dctl.conv.channel_major`) so
+    that each channel's solve writes one contiguous block, plus a flag that
+    is False when some block hit the cap before the stop or its line
+    search ran out of step (the best iterate is still returned; the line
+    search never accepts an increase, so the objective never exceeds its
+    value at ``z0``), and the most iterations any block used.
     """
     if not isinstance(quad, CoeffQuadratics):
         raise ValueError("quad must be a CoeffQuadratics instance")
-    st = settings if settings is not None else NewtonSettings()
-    if not isinstance(st, NewtonSettings):
-        raise ValueError("settings must be a NewtonSettings instance")
     z0 = np.asarray(z0, dtype=np.float64)
     if z0.shape != quad.below.shape:
         raise ValueError("z0 must match the quadratic data shape")
@@ -475,13 +441,14 @@ def projected_newton_coeffs(z0, quad, beta, gamma2, settings=None):
     if not (np.isfinite(gamma2) and gamma2 > 0):
         raise ValueError("gamma2 must be finite and positive")
     inv_g2 = 1.0 / gamma2
+    tol = _grad_tol(z0, quad)
     out = np.maximum(z0, 0.0, out=channel_major(*z0.shape))
     converged = True
     iterations = 0
     for chan in range(z0.shape[2]):
         ok, used = _newton_channel(
             out[:, :, chan], z0[:, :, chan], quad.below[:, :, chan], quad.above[:, :, chan],
-            quad.bank_above[:, chan], beta, inv_g2, st,
+            quad.bank_above[:, chan], beta, inv_g2, tol,
         )
         converged = converged and ok
         iterations = max(iterations, used)

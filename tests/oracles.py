@@ -252,7 +252,7 @@ def _tiled_direction_reference(bands, grad, free):
     return direction.reshape(count, n)
 
 
-def newton_channel_reference(z, anchor, below, above, kernel, beta, inv_g2, st):
+def newton_channel_reference(z, anchor, below, above, kernel, beta, inv_g2, tol):
     """The frozen per-channel projected Newton loop, in place on ``z``.
 
     Every block of the channel takes its Newton step through the tiled
@@ -260,8 +260,9 @@ def newton_channel_reference(z, anchor, below, above, kernel, beta, inv_g2, st):
     banded Cholesky factor, refactored every iteration (at K >= 3 the same
     bits as the tiled solve; at K = 2 the tiled solve is an LDL^T one).
     The line search gathers anchor/below/above rows on every use.  The
-    solver's checks that raise on non-finite values are left out.
-    Returns (converged, iterations).
+    solver's checks that raise on non-finite values are left out.  A block
+    stops once no entry of its projected gradient exceeds ``tol``, or after
+    ``dctl.prox.MAX_ITERS`` iterations.  Returns (converged, iterations).
     """
     bands = _hessian_bands_reference(kernel, z.shape[1], 1.0 + inv_g2)
 
@@ -281,11 +282,11 @@ def newton_channel_reference(z, anchor, below, above, kernel, beta, inv_g2, st):
     cz = _conv_rows_reference(zs, kernel)
     f = value(zs, cz, rows)
     converged, used = True, 0
-    for it in range(st.max_iters):
+    for it in range(dctl.prox.MAX_ITERS):
         residual = _conv_rows_reference(cz - above[rows], kernel, adjoint=True)
         grad = inv_g2 * (zs - anchor[rows]) + (zs - below[rows]) + residual + beta
         free = (zs > dctl.prox.ACTIVE_SET_EPS) | (grad < 0.0)
-        keep = np.abs(np.where(free, grad, 0.0)).max(axis=1) > st.grad_tol
+        keep = np.abs(np.where(free, grad, 0.0)).max(axis=1) > tol
         if not keep.all():
             used = max(used, it)
         rows, zs, cz, f, grad, free = (x[keep] for x in (rows, zs, cz, f, grad, free))
@@ -319,22 +320,26 @@ def newton_channel_reference(z, anchor, below, above, kernel, beta, inv_g2, st):
         z[rows] = new_z
         going = ~stalled
         rows, zs, cz, f = rows[going], new_z[going], new_cz[going], new_f[going]
-    return False, st.max_iters
+    return False, dctl.prox.MAX_ITERS
 
 
-def projected_newton_reference(z0, below, bank_above, above, beta, gamma2, st):
+def projected_newton_reference(z0, below, bank_above, above, beta, gamma2):
     """Run :func:`newton_channel_reference` on every channel of an (M, N, K)
-    coefficient update, as the solver drives its own per-channel loop.
+    coefficient update, as the solver drives its own per-channel loop, to
+    ``dctl.prox.GRAD_TOL`` times the largest of 1 and every |entry| of
+    ``z0``, ``below`` and ``above``.
 
     Returns (coeffs, converged, iterations).
     """
+    scale = max(1.0, np.abs(z0).max(), np.abs(below).max(), np.abs(above).max())
+    tol = dctl.prox.GRAD_TOL * scale
     inv_g2 = 1.0 / gamma2
     out = np.maximum(z0, 0.0)
     converged, iterations = True, 0
     for chan in range(z0.shape[2]):
         ok, used = newton_channel_reference(
             out[:, :, chan], z0[:, :, chan], below[:, :, chan], above[:, :, chan],
-            bank_above[:, chan], beta, inv_g2, st,
+            bank_above[:, chan], beta, inv_g2, tol,
         )
         converged = converged and ok
         iterations = max(iterations, used)

@@ -1,5 +1,7 @@
 """Model objective terms, alternating trainer, initialization and encoder."""
 
+import dataclasses
+import re
 import tracemalloc
 from unittest import mock
 
@@ -18,8 +20,8 @@ from dctl.model import (
     init_model,
     train,
 )
+import dctl.prox
 from dctl.prox import (
-    NewtonSettings,
     NumericalConditioningError,
     projected_newton_coeffs,
     update_transform,
@@ -63,7 +65,11 @@ def test_config_defaults():
     assert config.max_outer_iters == 100
     assert config.objective_tol == 1e-6
     assert config.seed == 0
-    assert config.newton == NewtonSettings()
+    # the Newton solve takes no settings (dctl.prox constants)
+    assert [f.name for f in dataclasses.fields(config)] == [
+        "num_layers", "num_kernels", "mu", "lam", "beta", "gamma1", "gamma2",
+        "max_outer_iters", "objective_tol", "seed",
+    ]
 
 
 def test_config_validation():
@@ -89,8 +95,6 @@ def test_config_validation():
         ModelConfig(objective_tol=-1e-9)
     with pytest.raises(ValueError):
         ModelConfig(objective_tol=float("nan"))
-    with pytest.raises(ValueError):
-        ModelConfig(newton={"max_iters": 5})
 
 
 @pytest.mark.parametrize("name", ["num_layers", "num_kernels", "max_outer_iters", "seed"])
@@ -118,12 +122,10 @@ def test_config_seed_must_be_non_negative():
 
 def test_config_stores_numpy_integers_as_int(tmp_path):
     config = ModelConfig(num_layers=np.int64(1), num_kernels=np.int32(2),
-                         max_outer_iters=np.uint8(1), seed=np.int64(4),
-                         newton=NewtonSettings(max_iters=np.int16(9)))
-    fields = (config.num_layers, config.num_kernels, config.max_outer_iters, config.seed,
-              config.newton.max_iters)
-    assert [type(v) for v in fields] == [int] * 5
-    assert fields == (1, 2, 1, 4, 9)
+                         max_outer_iters=np.uint8(1), seed=np.int64(4))
+    fields = (config.num_layers, config.num_kernels, config.max_outer_iters, config.seed)
+    assert [type(v) for v in fields] == [int] * 4
+    assert fields == (1, 2, 1, 4)
     # the JSON metadata of a model file takes the plain ints
     model = train(np.random.default_rng(56).standard_normal((3, 8)), config)
     save_model(tmp_path / "model.dctl", model)
@@ -271,13 +273,30 @@ def test_train_error_names_iteration_layer_step():
             train(signals, config)
 
 
-def test_train_unconverged_newton_names_iteration_layer_step():
+def test_train_unconverged_newton_names_iteration_layer_step(monkeypatch):
+    monkeypatch.setattr(dctl.prox, "MAX_ITERS", 1)
+    monkeypatch.setattr(dctl.prox, "GRAD_TOL", 1e-14)
     signals, _ = generate_synthetic(2, 5, 16, seed=4)
-    config = ModelConfig(num_layers=2, num_kernels=4, max_outer_iters=3, seed=4,
-                         newton=NewtonSettings(max_iters=1, grad_tol=1e-14))
+    config = ModelConfig(num_layers=2, num_kernels=4, max_outer_iters=3, seed=4)
     with pytest.raises(TrainingError, match="iteration 1, layer 1, coefficient update: "
-                                            "projected Newton did not converge"):
+                                            "projected Newton did not converge "
+                                            "to grad_tol=.* within 1 iterations") as error:
         train(signals, config)
+    # the tolerance named is the one the solve used: 1e-14 times the inputs' scale
+    assert float(re.search(r"grad_tol=(\S+)", str(error.value)).group(1)) > 1e-14
+
+
+def test_train_on_unnormalized_data_far_from_unit_scale():
+    # the Newton stop scales with the inputs: an absolute 1e-8 stop made
+    # this raise "projected Newton did not converge" at iteration 3, layer 2
+    signals, _ = generate_synthetic(4, 50, 128, noise_sigma=0.3, seed=1)
+    signals = signals * 1e4
+    config = ModelConfig(num_layers=3, num_kernels=8, max_outer_iters=10, objective_tol=0.0)
+    model = train(signals, config)
+    values = [value for _, _, value in model.training_trace]
+    assert len(values) == 1 + 10 * 3
+    assert all(later <= earlier for earlier, later in zip(values, values[1:]))
+    assert np.all(np.isfinite(encode(model, signals)))
 
 
 def test_train_trace_equals_full_objective_bitwise():

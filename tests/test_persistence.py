@@ -23,7 +23,6 @@ from dctl.persistence import (
     load_model,
     save_model,
 )
-from dctl.prox import NewtonSettings
 
 
 @pytest.fixture(scope="module")
@@ -79,16 +78,13 @@ def as_real(low, high):
 @settings(max_examples=25, deadline=None)
 @given(layers=as_int(2), kernels=as_int(3), iters=as_int(1), seed=as_int(5),
        mu=as_real(0, 1), beta=as_real(0, 1), objective_tol=as_real(0, 1e-3),
-       lam=as_real(0.5, 2), gamma1=as_real(1, 2), gamma2=as_real(1, 2),
-       grad_tol=as_real(1e-9, 1e-8), max_iters=as_int(60))
+       lam=as_real(0.5, 2), gamma1=as_real(1, 2), gamma2=as_real(1, 2))
 def test_config_of_python_or_numpy_numbers_round_trips(
-        tmp_path_factory, layers, kernels, iters, seed, grad_tol, max_iters, **reals):
-    newton = NewtonSettings(max_iters=max_iters, grad_tol=grad_tol)
+        tmp_path_factory, layers, kernels, iters, seed, **reals):
     config = ModelConfig(num_layers=layers, num_kernels=kernels, max_outer_iters=iters,
-                         seed=seed, newton=newton, **reals)
-    for fields_of in (config, newton):  # stored as the plain type json writes
-        assert all(type(getattr(fields_of, f.name)) is f.type
-                   for f in dataclasses.fields(fields_of) if f.type in (int, float))
+                         seed=seed, **reals)
+    # stored as the plain type json writes
+    assert all(type(getattr(config, f.name)) is f.type for f in dataclasses.fields(config))
     signals, _ = generate_synthetic(2, 2, 12, seed=31)
     model = train(signals, config)
     path = tmp_path_factory.mktemp("round") / "model.dctl"
@@ -171,7 +167,14 @@ def with_metadata(payload, edit):
 
 
 # the Newton settings earlier versions stored, at the only values they took
-RETIRED_NEWTON = {"armijo_c": 1e-4, "backtrack_factor": 0.5, "active_set_eps": 1e-10}
+RETIRED_NEWTON = {"armijo_c": 1e-4, "backtrack_factor": 0.5, "active_set_eps": 1e-10,
+                  "max_iters": 50, "grad_tol": 1e-8}
+
+
+def with_newton(**newton):
+    """An edit that gives the config an earlier layout's "newton" mapping,
+    which new files leave out, with ``newton`` over the fixed values."""
+    return lambda meta: meta["config"].update(newton={**RETIRED_NEWTON, **newton})
 
 
 BAD_CONFIGS = {
@@ -185,14 +188,14 @@ BAD_CONFIGS = {
     "num_kernels_float": lambda meta: meta["config"].update(num_kernels=4.0),
     "seed_mapping": lambda meta: meta["config"].update(seed={"a": 1}),
     "beta_boolean": lambda meta: meta["config"].update(beta=True),
-    "newton_max_iters_float": lambda meta: meta["config"]["newton"].update(max_iters=50.0),
+    "newton_max_iters_float": with_newton(max_iters=50.0),
     "samples_float": lambda meta: meta.update(samples=8.0),
     "samples_zero": lambda meta: meta.update(samples=0),
     "samples_negative": lambda meta: meta.update(samples=-3),
     # NaN passes a plain `x < 0` check
     "objective_tol_nan": lambda meta: meta["config"].update(objective_tol=float("nan")),
-    "newton_active_set_eps_nan": lambda meta: meta["config"]["newton"].update(
-        active_set_eps=float("nan")),
+    "newton_active_set_eps_nan": with_newton(active_set_eps=float("nan")),
+    "newton_unknown_key": with_newton(surprise=1),
     # numpy would refuse it only once training draws the first bank
     "seed_negative": lambda meta: meta["config"].update(seed=-1),
     # json.dumps recurses and refuses long integers, so these are raw bytes
@@ -225,8 +228,7 @@ JSON_VALUES = st.recursive(
 METADATA_KEYS = (
     [("config",), ("samples",), ("trace",), ("trace", 0), ("trace", 0, 0), ("trace", 0, 2)]
     + [("config", f.name) for f in dataclasses.fields(ModelConfig)]
-    + [("config", "newton", f.name) for f in dataclasses.fields(NewtonSettings)]
-    + [("config", "newton", name) for name in RETIRED_NEWTON]
+    + [("config", "newton")] + [("config", "newton", name) for name in RETIRED_NEWTON]
 )
 
 
@@ -237,7 +239,8 @@ def test_any_json_value_under_a_metadata_key_loads_or_is_model_file_error(
     def edit(meta):
         *parents, last = key
         for name in parents:
-            meta = meta[name]
+            # new files have no "newton" mapping: start from the earlier one
+            meta = meta[name] if name != "newton" else meta.setdefault(name, dict(RETIRED_NEWTON))
         meta[last] = value
 
     path, payload = saved_bytes(tmp_path_factory.mktemp("fuzz"), trained[0])
@@ -250,9 +253,9 @@ def test_any_json_value_under_a_metadata_key_loads_or_is_model_file_error(
 
 def earlier_layout(payload, **newton):
     """The model file as earlier versions wrote it, with all five Newton
-    settings; ``newton`` overrides the retired ones' values."""
+    settings; ``newton`` overrides their values."""
     def edit(meta):
-        meta["config"]["newton"].update(RETIRED_NEWTON, **newton)
+        with_newton(**newton)(meta)
         return json.dumps(meta, sort_keys=True).encode("utf-8")
 
     return with_metadata(payload, edit)
@@ -261,7 +264,7 @@ def earlier_layout(payload, **newton):
 def test_file_of_earlier_layout_loads_and_encodes_the_same(tmp_path, trained):
     model, signals = trained
     path, payload = saved_bytes(tmp_path, model)
-    assert b"armijo_c" not in payload  # new files leave the retired keys out
+    assert b"newton" not in payload  # new files leave the retired keys out
     path.write_bytes(earlier_layout(payload))
     loaded = load_model(path)
     assert loaded.config == model.config
@@ -272,7 +275,8 @@ def test_file_of_earlier_layout_loads_and_encodes_the_same(tmp_path, trained):
 
 
 @pytest.mark.parametrize("key, value", [("armijo_c", 0.5), ("backtrack_factor", 0.25),
-                                        ("active_set_eps", 0.0)])
+                                        ("active_set_eps", 0.0), ("max_iters", 51),
+                                        ("grad_tol", 1e-9), ("grad_tol", float("inf"))])
 def test_file_of_earlier_layout_with_other_newton_settings_is_refused(
         tmp_path, trained, key, value):
     path, payload = saved_bytes(tmp_path, trained[0])

@@ -1,7 +1,5 @@
 """Proximity operators and the projected Newton coefficient solver."""
 
-import dataclasses
-
 import numpy as np
 import pytest
 import scipy.linalg
@@ -13,7 +11,6 @@ import dctl.prox
 from dctl.prox import (
     ACTIVE_SET_EPS,
     CoeffQuadratics,
-    NewtonSettings,
     NumericalConditioningError,
     TransformUpdateInputs,
     projected_newton_coeffs,
@@ -335,40 +332,13 @@ def test_transform_inputs_validation():
 # -------------------------------------------------------- newton coefficients
 
 
-def test_newton_settings_defaults():
-    st = NewtonSettings()
-    assert st.max_iters == 50
-    assert st.grad_tol == 1e-8
-    # the line search and active set are fixed, not settings
-    assert [f.name for f in dataclasses.fields(st)] == ["max_iters", "grad_tol"]
+def test_newton_constants():
+    # the solve takes no settings: its stop, cap, line search and active set are fixed
+    assert (dctl.prox.MAX_ITERS, dctl.prox.GRAD_TOL) == (50, 1e-8)
     assert dctl.prox.ARMIJO_C == 1e-4
     assert dctl.prox.BACKTRACK_FACTOR == 0.5
     assert ACTIVE_SET_EPS == 1e-10
-
-
-def test_newton_settings_validation():
-    with pytest.raises(ValueError):
-        NewtonSettings(max_iters=0)
-    with pytest.raises(ValueError):
-        NewtonSettings(grad_tol=0.0)
-    with pytest.raises(ValueError):
-        NewtonSettings(grad_tol=float("nan"))
-    for retired in ("armijo_c", "backtrack_factor", "active_set_eps"):
-        with pytest.raises(TypeError, match=retired):
-            NewtonSettings(**{retired: 0.5})
-
-
-def test_newton_settings_max_iters_is_an_int():
-    for bad in (True, 2.5, 3.0, "3", None):
-        with pytest.raises(ValueError, match="^max_iters must be an integer"):
-            NewtonSettings(max_iters=bad)
-    assert type(NewtonSettings(max_iters=np.int32(7)).max_iters) is int
-
-
-@pytest.mark.parametrize("name", ["grad_tol"])
-def test_newton_settings_float_fields_refuse_bools(name):
-    with pytest.raises(ValueError, match=f"^{name} must be a real number"):
-        NewtonSettings(**{name: True})
+    assert not hasattr(dctl.prox, "NewtonSettings")
 
 
 def test_projected_newton_decoupled_closed_form():
@@ -421,11 +391,12 @@ def test_projected_newton_descent():
         assert f_new <= f_old + 1e-9
 
 
-def test_projected_newton_iteration_cap_returns_flag():
+def test_projected_newton_iteration_cap_returns_flag(monkeypatch):
     rng = np.random.default_rng(35)
     z0, quad, beta, gamma2 = random_coeff_instance(rng, 2, 10, 2)
-    settings = NewtonSettings(max_iters=1, grad_tol=1e-14)
-    result = projected_newton_coeffs(z0, quad, beta, gamma2, settings)
+    monkeypatch.setattr(dctl.prox, "MAX_ITERS", 1)
+    monkeypatch.setattr(dctl.prox, "GRAD_TOL", 1e-14)
+    result = projected_newton_coeffs(z0, quad, beta, gamma2)
     assert not result.converged
     f_new = coeff_value(result.coeffs, z0, quad, beta, gamma2)
     assert f_new <= coeff_value(z0, z0, quad, beta, gamma2) + 1e-9
@@ -437,7 +408,7 @@ def test_projected_newton_first_order_optimality():
         z0, quad, beta, gamma2 = random_coeff_instance(rng, 2, 8, 2)
         result = projected_newton_coeffs(z0, quad, beta, gamma2)
         grad = coeff_grad(result.coeffs, z0, quad, beta, gamma2)
-        tol = 10 * NewtonSettings().grad_tol
+        tol = 10 * dctl.prox.GRAD_TOL
         interior = result.coeffs > ACTIVE_SET_EPS
         assert np.all(np.abs(grad[interior]) <= tol)
         assert np.all(grad[~interior] >= -tol)
@@ -555,32 +526,30 @@ def _newton_reference_instance(rng, m, n, k, kind=None):
 @pytest.mark.parametrize(
     "m, n, k, kind, settings",
     [
-        (6, 12, 4, 0, NewtonSettings()),  # all fully free
-        (9, 12, 4, None, NewtonSettings()),  # free, clamped and mixed blocks
-        (6, 12, 4, 1, NewtonSettings()),  # all clamped
-        (9, 10, 3, None, NewtonSettings(max_iters=1, grad_tol=1e-14)),  # unconverged
-        # stalls: a dict gives module constants to patch, with default settings
-        (9, 12, 4, None, {"ARMIJO_C": 0.9, "BACKTRACK_FACTOR": 1e-15}),
+        # settings: the dctl.prox constants to patch
+        (6, 12, 4, 0, {}),  # all fully free
+        (9, 12, 4, None, {}),  # free, clamped and mixed blocks
+        (6, 12, 4, 1, {}),  # all clamped
+        (9, 10, 3, None, {"MAX_ITERS": 1, "GRAD_TOL": 1e-14}),  # unconverged
+        (9, 12, 4, None, {"ARMIJO_C": 0.9, "BACKTRACK_FACTOR": 1e-15}),  # stalls
         # Armijo decisions at round-off level, where the order of the terms
         # of a block's value decides them
-        (30, 32, 4, None, NewtonSettings(max_iters=12, grad_tol=1e-15)),
-        (9, 9, 1, None, NewtonSettings()),
-        (9, 11, 2, None, NewtonSettings()),
-        (200, 128, 8, None, NewtonSettings()),
-        (12, 1024, 8, None, NewtonSettings()),
+        (30, 32, 4, None, {"MAX_ITERS": 12, "GRAD_TOL": 1e-15}),
+        (9, 9, 1, None, {}),
+        (9, 11, 2, None, {}),
+        (200, 128, 8, None, {}),
+        (12, 1024, 8, None, {}),
     ],
 )
 def test_projected_newton_matches_reference_bitwise(m, n, k, kind, settings, monkeypatch):
-    if isinstance(settings, dict):
-        for name, value in settings.items():
-            monkeypatch.setattr(dctl.prox, name, value)
-        settings = NewtonSettings()
+    for name, value in settings.items():
+        monkeypatch.setattr(dctl.prox, name, value)
     rng = np.random.default_rng(45 + n + k)
     z0, quad = _newton_reference_instance(rng, m, n, k, kind)
     beta, gamma2 = 0.05, 1.5
-    result = projected_newton_coeffs(z0, quad, beta, gamma2, settings)
+    result = projected_newton_coeffs(z0, quad, beta, gamma2)
     coeffs, converged, iterations = projected_newton_reference(
-        z0, quad.below, quad.bank_above, quad.above, beta, gamma2, settings
+        z0, quad.below, quad.bank_above, quad.above, beta, gamma2
     )
     assert result.coeffs.tobytes() == coeffs.tobytes()
     assert (result.converged, result.iterations) == (converged, iterations)
@@ -589,8 +558,8 @@ def test_projected_newton_matches_reference_bitwise(m, n, k, kind, settings, mon
     if kind == 1:
         assert not np.any(result.coeffs)
     if dctl.prox.BACKTRACK_FACTOR < 1e-14:
-        assert not converged and iterations < settings.max_iters
-    if settings.max_iters == 1:
+        assert not converged and iterations < dctl.prox.MAX_ITERS
+    if dctl.prox.MAX_ITERS == 1:
         assert not converged
 
 
@@ -643,7 +612,7 @@ def test_projected_newton_mixed_free_and_clamped_blocks():
     z_ref = coeff_pg_oracle(z0, below, bank, above, beta, gamma2, iters=20_000)
     assert np.max(np.abs(z - z_ref)) < 1e-6
     grad = coeff_grad(z, z0, quad, beta, gamma2)
-    tol = 10 * NewtonSettings().grad_tol
+    tol = 10 * dctl.prox.GRAD_TOL
     interior = z > eps
     assert np.all(np.abs(grad[interior]) <= tol)
     assert np.all(grad[~interior] >= -tol)
@@ -660,8 +629,22 @@ def test_projected_newton_validates_arguments():
         projected_newton_coeffs(z0, quad, -0.1, gamma2)
     with pytest.raises(ValueError):
         projected_newton_coeffs(z0, quad, beta, 0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):
         projected_newton_coeffs(z0, quad, beta, gamma2, settings={"max_iters": 3})
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+@pytest.mark.parametrize("where", ["z0", "below", "above"])
+def test_projected_newton_refuses_non_finite_inputs(where, bad):
+    # an infinite entry would make the scaled stop infinite, and every block
+    # would meet it untouched
+    rng = np.random.default_rng(39)
+    z0, quad, beta, gamma2 = random_coeff_instance(rng, 2, 6, 2)
+    arrays = {"z0": z0, "below": quad.below, "above": quad.above}
+    arrays[where][1, 3, 0] = bad
+    quad = CoeffQuadratics(arrays["below"], quad.bank_above, arrays["above"])
+    with pytest.raises(NumericalConditioningError, match="not finite"):
+        projected_newton_coeffs(arrays["z0"], quad, beta, gamma2)
 
 
 def test_coeff_quadratics_validation():
