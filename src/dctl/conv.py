@@ -56,6 +56,8 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.ndimage import convolve1d, correlate1d
 
+from .data import as_matrix
+
 __all__ = [
     "conv_same_matrix",
     "toeplitz_windows",
@@ -85,11 +87,7 @@ def toeplitz_stack(signals, kernel_size):
 
     ``out[m] @ t`` convolves signal m with the kernel t.
     """
-    arr = np.asarray(signals, dtype=np.float64)
-    if arr.ndim != 2 or arr.shape[0] == 0 or arr.shape[1] == 0:
-        raise ValueError(f"signals must be a non-empty 2-D array, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("signals contain non-finite values")
+    arr = as_matrix(signals, "signals")
     k = int(kernel_size)
     if k < 1:
         raise ValueError("kernel_size must be a positive integer")

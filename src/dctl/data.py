@@ -23,6 +23,7 @@ __all__ = [
     "load_matrix",
     "looks_labeled",
     "split_labels",
+    "as_matrix",
     "as_labels",
     "normalize_per_sample",
     "train_test_split",
@@ -240,6 +241,17 @@ def _label_problem(values):
     return None
 
 
+def as_matrix(values, name):
+    """``values`` as a float64 (M, N) array with M, N >= 1 and every entry
+    finite, or a ValueError naming ``name``."""
+    values = np.asarray(values, dtype=np.float64)
+    if values.ndim != 2 or 0 in values.shape:
+        raise ValueError(f"{name} must be a non-empty 2-D array, got shape {values.shape}")
+    if not np.isfinite(values).all():
+        raise ValueError(f"{name} contain non-finite values")
+    return values
+
+
 def as_labels(values, count, name="labels"):
     """``values`` as ``count`` int64 labels, or a ValueError naming ``name``."""
     values = np.asarray(values)
@@ -268,7 +280,7 @@ def split_labels(values, labeled):
 
 def normalize_per_sample(features):
     """Min-max scale each row to [0, 1]; constant rows map to all zeros."""
-    arr = np.asarray(features, dtype=np.float64)
+    arr = as_matrix(features, "features")
     lo = arr.min(axis=1, keepdims=True)
     span = arr.max(axis=1, keepdims=True) - lo
     safe = np.where(span > 0, span, 1.0)
@@ -279,7 +291,7 @@ def train_test_split(features, labels, split=0.7, seed=0):
     """Seeded shuffle followed by a head/tail split (train fraction ``split``)."""
     if not 0 < split <= 1:
         raise ValueError(f"split must lie in (0, 1], got {split}")
-    features = np.asarray(features, dtype=np.float64)
+    features = as_matrix(features, "features")
     m = features.shape[0]
     n_train = int(round(split * m))
     if n_train < 1:
@@ -289,6 +301,9 @@ def train_test_split(features, labels, split=0.7, seed=0):
     if labels is None:
         return DatasetSplit(features[train_idx], None, features[test_idx], None)
     labels = np.asarray(labels)
+    if labels.shape[:1] != (m,):
+        raise ValueError(f"labels must have one entry per feature row ({m}), "
+                         f"got shape {labels.shape}")
     return DatasetSplit(
         features[train_idx], labels[train_idx], features[test_idx], labels[test_idx]
     )
@@ -346,16 +361,13 @@ def generate_synthetic(classes, per_class, length, motif_count=3, noise_sigma=0.
 def write_csv(path, features, labels=None, header=False):
     """Write a feature matrix (plus optional final label column) as CSV.
 
-    Features must be finite, as :func:`load_matrix` reads them.  Labels
-    follow the rule :func:`split_labels` reads them by: integers, or floats
-    within 1e-9 of one below 2**63 (written as that integer), and never
-    negative.  Anything else is a ValueError, raised before the file opens.
+    Features must be a non-empty finite matrix, as :func:`load_matrix`
+    reads them.  Labels follow the rule :func:`split_labels` reads them by:
+    integers, or floats within 1e-9 of one below 2**63 (written as that
+    integer), and never negative.  Anything else is a ValueError, raised
+    before the file opens.
     """
-    features = np.asarray(features, dtype=np.float64)
-    if features.ndim != 2:
-        raise ValueError("features must be 2-D")
-    if not np.isfinite(features).all():
-        raise ValueError("features contain non-finite values")
+    features = as_matrix(features, "features")
     if labels is not None:
         labels = as_labels(labels, features.shape[0])
     # the bytes csv.writer gives: no cell needs quoting, rows end in "\r\n"

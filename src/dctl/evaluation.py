@@ -11,7 +11,7 @@ import numpy as np
 from scipy.linalg import eigh
 from scipy.spatial.distance import cdist
 
-from .data import as_labels
+from .data import as_labels, as_matrix
 
 __all__ = [
     "KMEANS_INITS",
@@ -27,15 +27,6 @@ __all__ = [
 KMEANS_INITS = ("kmeanspp", "random", "pca")
 KMEANS_MAX_ITERS = 300
 KMEANS_TOL = 1e-6
-
-
-def _check_features(features, name="features"):
-    arr = np.asarray(features, dtype=np.float64)
-    if arr.ndim != 2 or arr.shape[0] == 0:
-        raise ValueError(f"{name} must be a non-empty 2-D array, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} contains non-finite values")
-    return arr
 
 
 # Test rows screened per GEMM.  Each row's bound stands alone, so the
@@ -117,9 +108,9 @@ def knn_classify(train_features, train_labels, test_features, k):
     finite (the squares overflow, as ``cdist``'s own sum then does), every
     training row is a candidate.
     """
-    train = _check_features(train_features, "train_features")
+    train = as_matrix(train_features, "train_features")
     labels = as_labels(train_labels, train.shape[0], "train_labels")
-    test = _check_features(test_features, "test_features")
+    test = as_matrix(test_features, "test_features")
     if test.shape[1] != train.shape[1]:
         raise ValueError("train and test feature dimensions differ")
     k = int(k)
@@ -135,9 +126,9 @@ def knn_classify(train_features, train_labels, test_features, k):
 
 def nearest_centroid_classify(train_features, train_labels, test_features):
     """Assign each test row the label of the nearest class mean."""
-    train = _check_features(train_features, "train_features")
+    train = as_matrix(train_features, "train_features")
     labels = as_labels(train_labels, train.shape[0], "train_labels")
-    test = _check_features(test_features, "test_features")
+    test = as_matrix(test_features, "test_features")
     if test.shape[1] != train.shape[1]:
         raise ValueError("train and test feature dimensions differ")
     classes = np.unique(labels)
@@ -275,7 +266,7 @@ def kmeans(features, n_clusters, init="kmeanspp", seed=0):
     below the fixed ``KMEANS_TOL`` (1e-6) or ``KMEANS_MAX_ITERS`` (300)
     passes; the recorded inertia trace never increases.
     """
-    x = _check_features(features)
+    x = as_matrix(features, "features")
     m = x.shape[0]
     n_clusters = int(n_clusters)
     if not 1 <= n_clusters <= m:

@@ -32,6 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .conv import channelwise_forward, toeplitz_stack, toeplitz_windows
+from .data import as_matrix
 # unused, but bench/tracing.py's TRACE_POINTS look this name up on the module
 from .conv import conv_same_matrix  # noqa: F401
 from . import prox
@@ -39,6 +40,7 @@ from .prox import (
     CoeffQuadratics,
     NumericalConditioningError,
     TransformUpdateInputs,
+    as_real,
     projected_newton_coeffs,
     prox_nonneg_l1,
     update_transform,
@@ -72,18 +74,6 @@ def _int_field(config, name, minimum):
     object.__setattr__(config, name, int(value))
 
 
-def _float_field(config, name, ok, rule):
-    """The float twin of ``_int_field``: store any real but a bool as a
-    ``float`` for which ``ok`` holds, or raise "<name> must <rule>"."""
-    value = getattr(config, name)
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ValueError(f"{name} must be a real number, got {value!r}")
-    value = float(value)
-    if not ok(value):
-        raise ValueError(f"{name} must {rule}")
-    object.__setattr__(config, name, value)
-
-
 @dataclass(frozen=True)
 class ModelConfig:
     """Hyperparameters of one model.
@@ -92,8 +82,9 @@ class ModelConfig:
     that keeps banks invertible, beta the l1 sparsity penalty on the
     coefficients; gamma1/gamma2 are the proximal anchor weights of the
     bank/coefficient updates.  The integer fields are stored as ``int``
-    and the float fields as ``float`` (numpy numbers are accepted, bools
-    are not); the seed must be non-negative.
+    and the float fields as ``float`` under the rules of
+    :data:`dctl.prox.REAL_RULES` (numpy numbers are accepted, bools are
+    not); the seed must be non-negative.
     """
 
     num_layers: int = 3
@@ -112,12 +103,8 @@ class ModelConfig:
         _int_field(self, "num_kernels", 1)
         _int_field(self, "max_outer_iters", 1)
         _int_field(self, "seed", 0)
-        _float_field(self, "mu", lambda v: np.isfinite(v) and v >= 0, "be finite and >= 0")
-        _float_field(self, "lam", lambda v: np.isfinite(v) and v > 0, "be finite and positive")
-        _float_field(self, "beta", lambda v: np.isfinite(v) and v >= 0, "be finite and >= 0")
-        _float_field(self, "gamma1", lambda v: np.isfinite(v) and v > 0, "be finite and positive")
-        _float_field(self, "gamma2", lambda v: np.isfinite(v) and v > 0, "be finite and positive")
-        _float_field(self, "objective_tol", lambda v: v >= 0, "be >= 0")
+        for name in ("mu", "lam", "beta", "gamma1", "gamma2", "objective_tol"):
+            object.__setattr__(self, name, as_real(getattr(self, name), name))
 
 
 @dataclass
@@ -136,16 +123,12 @@ class TrainedModel:
 
 
 def _check_data(data, config):
-    arr = np.asarray(data, dtype=np.float64)
-    if arr.ndim != 2 or arr.shape[0] == 0:
-        raise ValueError(f"data must be a non-empty (M, N) array, got shape {arr.shape}")
+    arr = as_matrix(data, "data")
     if arr.shape[1] < config.num_kernels:
         raise ValueError(
             f"signal length {arr.shape[1]} is shorter than the kernel length "
             f"{config.num_kernels}"
         )
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("data contains non-finite values")
     return arr
 
 

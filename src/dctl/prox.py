@@ -23,6 +23,8 @@ subproblems the alternating trainer cycles through:
   and its stopping tolerance scales with the largest entry of its inputs.
 """
 
+import math
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -34,6 +36,7 @@ from .conv import channel_major
 from .conv import channelwise_forward as _conv_rows
 # unused, but bench/tracing.py's TRACE_POINTS look this name up on the module
 from .conv import conv_same_matrix  # noqa: F401
+from .data import as_matrix
 
 __all__ = [
     "NumericalConditioningError",
@@ -59,6 +62,33 @@ ACTIVE_SET_EPS = 1e-10
 MAX_ITERS = 50
 GRAD_TOL = 1e-8
 
+# The rule every real hyperparameter obeys, wherever it is passed: a test
+# of the float value, and what "<name> must ..." says when it fails.
+_FINITE_NONNEG = (lambda v: math.isfinite(v) and v >= 0, "be finite and >= 0")
+_FINITE_POSITIVE = (lambda v: math.isfinite(v) and v > 0, "be finite and positive")
+REAL_RULES = {
+    "mu": _FINITE_NONNEG,
+    "lam": _FINITE_POSITIVE,
+    "beta": _FINITE_NONNEG,
+    "gamma1": _FINITE_POSITIVE,
+    "gamma2": _FINITE_POSITIVE,
+    "weight": _FINITE_POSITIVE,
+    "objective_tol": (lambda v: v >= 0, "be >= 0"),
+}
+
+
+def as_real(value, name):
+    """``value`` as a ``float`` obeying ``REAL_RULES[name]``, or a ValueError
+    naming ``name``.  Numpy numbers are taken; bools and non-reals are
+    refused, because ``True > 0`` would pass the rule."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    value = float(value)
+    ok, rule = REAL_RULES[name]
+    if not ok(value):
+        raise ValueError(f"{name} must {rule}")
+    return value
+
 
 def prox_nonneg_l1(v, beta, weight, out=None):
     """Prox of ``(beta * |z| + indicator(z >= 0)) / weight`` at ``v``.
@@ -70,12 +100,8 @@ def prox_nonneg_l1(v, beta, weight, out=None):
     an array ``out``, which may be ``v`` itself, receives the result with
     the same bits and no temporary.
     """
-    beta = float(beta)
-    weight = float(weight)
-    if not (np.isfinite(beta) and beta >= 0):
-        raise ValueError("beta must be finite and >= 0")
-    if not (np.isfinite(weight) and weight > 0):
-        raise ValueError("weight must be finite and positive")
+    beta = as_real(beta, "beta")
+    weight = as_real(weight, "weight")
     v = np.asarray(v, dtype=np.float64)
     out = np.maximum(np.subtract(v, beta / weight, out=out), 0.0, out=out)
     return float(out) if out.ndim == 0 else out
@@ -88,12 +114,10 @@ def prox_logdet_svd(y, lam):
     of s'^2 - s s' - lam = 0, i.e. s' = (s + sqrt(s^2 + 4 lam)) / 2, and the
     singular vectors are kept.  All output singular values are >= sqrt(lam).
     """
-    y = np.asarray(y, dtype=np.float64)
-    if y.ndim != 2 or y.shape[0] != y.shape[1]:
+    y = as_matrix(y, "y")
+    if y.shape[0] != y.shape[1]:
         raise ValueError(f"y must be square, got shape {y.shape}")
-    lam = float(lam)
-    if not (np.isfinite(lam) and lam > 0):
-        raise ValueError("lam must be finite and positive")
+    lam = as_real(lam, "lam")
     u, s, vh = np.linalg.svd(y)
     s_new = 0.5 * (s + np.sqrt(s * s + 4.0 * lam))
     return (u * s_new) @ vh
@@ -120,25 +144,18 @@ class TransformUpdateInputs:
     gamma1: float
 
     def __post_init__(self):
-        gram = np.asarray(self.gram, dtype=np.float64)
-        cross = np.asarray(self.cross, dtype=np.float64)
-        anchor = np.asarray(self.anchor, dtype=np.float64)
-        k = gram.shape[0] if gram.ndim == 2 else -1
-        if gram.ndim != 2 or gram.shape != (k, k):
+        for name in ("gram", "cross", "anchor"):
+            object.__setattr__(self, name, as_matrix(getattr(self, name), name))
+        for name in ("mu", "lam", "gamma1"):
+            object.__setattr__(self, name, as_real(getattr(self, name), name))
+        gram = self.gram
+        k = gram.shape[0]
+        if gram.shape != (k, k):
             raise ValueError(f"gram must be square, got shape {gram.shape}")
-        if cross.shape != (k, k) or anchor.shape != (k, k):
+        if self.cross.shape != (k, k) or self.anchor.shape != (k, k):
             raise ValueError("gram, cross and anchor must share one square shape")
         if not np.allclose(gram, gram.T, atol=1e-10 * (1.0 + np.abs(gram).max())):
             raise ValueError("gram must be symmetric")
-        if not (np.isfinite(self.mu) and self.mu >= 0):
-            raise ValueError("mu must be finite and >= 0")
-        if not (np.isfinite(self.lam) and self.lam > 0):
-            raise ValueError("lam must be finite and positive")
-        if not (np.isfinite(self.gamma1) and self.gamma1 > 0):
-            raise ValueError("gamma1 must be finite and positive")
-        object.__setattr__(self, "gram", gram)
-        object.__setattr__(self, "cross", cross)
-        object.__setattr__(self, "anchor", anchor)
 
 
 def _cholesky_with_jitter(w):
@@ -436,11 +453,8 @@ def projected_newton_coeffs(z0, quad, beta, gamma2):
     z0 = np.asarray(z0, dtype=np.float64)
     if z0.shape != quad.below.shape:
         raise ValueError("z0 must match the quadratic data shape")
-    if not (np.isfinite(beta) and beta >= 0):
-        raise ValueError("beta must be finite and >= 0")
-    if not (np.isfinite(gamma2) and gamma2 > 0):
-        raise ValueError("gamma2 must be finite and positive")
-    inv_g2 = 1.0 / gamma2
+    beta = as_real(beta, "beta")
+    inv_g2 = 1.0 / as_real(gamma2, "gamma2")
     tol = _grad_tol(z0, quad)
     out = np.maximum(z0, 0.0, out=channel_major(*z0.shape))
     converged = True
