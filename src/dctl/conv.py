@@ -56,7 +56,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.ndimage import convolve1d, correlate1d
 
-from .data import as_matrix
+from .data import as_int, as_matrix
 
 __all__ = [
     "conv_same_matrix",
@@ -88,9 +88,7 @@ def toeplitz_stack(signals, kernel_size):
     ``out[m] @ t`` convolves signal m with the kernel t.
     """
     arr = as_matrix(signals, "signals")
-    k = int(kernel_size)
-    if k < 1:
-        raise ValueError("kernel_size must be a positive integer")
+    k = as_int(kernel_size, "kernel_size", 1)
     _check_lengths(arr.shape[1], k)
     return toeplitz_windows(arr, k).copy()
 
@@ -161,8 +159,6 @@ def conv_same_matrix(kernel, size):
     unit impulse at c.  Adding 0.0 writes a -0.0 tap as +0.0.
     """
     kernel = _as_vector(kernel, "kernel")
-    n = int(size)
-    if n < 1:
-        raise ValueError("size must be a positive integer")
+    n = as_int(size, "size", 1)
     _check_lengths(n, kernel.size)
     return channelwise_forward(np.eye(n), kernel).T + 0.0

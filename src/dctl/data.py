@@ -23,6 +23,9 @@ __all__ = [
     "load_matrix",
     "looks_labeled",
     "split_labels",
+    "REAL_RULES",
+    "as_int",
+    "as_real",
     "as_matrix",
     "as_labels",
     "normalize_per_sample",
@@ -241,6 +244,46 @@ def _label_problem(values):
     return None
 
 
+# The rule every real hyperparameter obeys, wherever it is passed: a test
+# of the float value, and what "<name> must ..." says when it fails.
+_FINITE_NONNEG = (lambda v: math.isfinite(v) and v >= 0, "be finite and >= 0")
+_FINITE_POSITIVE = (lambda v: math.isfinite(v) and v > 0, "be finite and positive")
+REAL_RULES = {
+    "mu": _FINITE_NONNEG,
+    "lam": _FINITE_POSITIVE,
+    "beta": _FINITE_NONNEG,
+    "gamma1": _FINITE_POSITIVE,
+    "gamma2": _FINITE_POSITIVE,
+    "weight": _FINITE_POSITIVE,
+    "objective_tol": (lambda v: v >= 0, "be >= 0"),
+    "noise_sigma": _FINITE_NONNEG,
+}
+
+
+def as_real(value, name):
+    """``value`` as a ``float`` obeying ``REAL_RULES[name]``, or a ValueError
+    naming ``name``.  Numpy numbers are taken; bools and non-reals are
+    refused, because ``True > 0`` would pass the rule."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    value = float(value)
+    ok, rule = REAL_RULES[name]
+    if not ok(value):
+        raise ValueError(f"{name} must {rule}")
+    return value
+
+
+def as_int(value, name, minimum):
+    """``value`` as an ``int`` of at least ``minimum``, or a ValueError
+    naming ``name``.  Numpy integers are taken; bools and non-integers are
+    refused, because ``True == 1`` and ``int(2.9) == 2`` would pass."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}")
+    return int(value)
+
+
 def as_matrix(values, name):
     """``values`` as a float64 (M, N) array with M, N >= 1 and every entry
     finite, or a ValueError naming ``name``."""
@@ -321,16 +364,11 @@ def generate_synthetic(classes, per_class, length, motif_count=3, noise_sigma=0.
     structure stays recoverable by convolutional features.  Deterministic
     per seed; rows are grouped by class.
     """
-    classes = int(classes)
-    per_class = int(per_class)
-    length = int(length)
-    motif_count = int(motif_count)
-    if classes < 1 or per_class < 1 or motif_count < 1:
-        raise ValueError("classes, per_class and motif_count must be >= 1")
-    if length < 8:
-        raise ValueError("length must be >= 8")
-    if not (np.isfinite(noise_sigma) and noise_sigma >= 0):
-        raise ValueError("noise_sigma must be finite and >= 0")
+    classes = as_int(classes, "classes", 1)
+    per_class = as_int(per_class, "per_class", 1)
+    length = as_int(length, "length", 8)
+    motif_count = as_int(motif_count, "motif_count", 1)
+    noise_sigma = as_real(noise_sigma, "noise_sigma")
     if motif_count > length:
         raise ValueError("motif_count cannot exceed length")
     rng = np.random.default_rng(seed)

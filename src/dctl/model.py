@@ -26,13 +26,12 @@ contiguous channels; ``encode`` writes its last layer position-major so
 that the (M, N K) features it returns are a view of it.
 """
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .conv import channelwise_forward, toeplitz_stack, toeplitz_windows
-from .data import as_matrix
+from .data import as_int, as_matrix, as_real
 # unused, but bench/tracing.py's TRACE_POINTS look this name up on the module
 from .conv import conv_same_matrix  # noqa: F401
 from . import prox
@@ -40,7 +39,6 @@ from .prox import (
     CoeffQuadratics,
     NumericalConditioningError,
     TransformUpdateInputs,
-    as_real,
     projected_newton_coeffs,
     prox_nonneg_l1,
     update_transform,
@@ -60,20 +58,6 @@ class TrainingError(RuntimeError):
     """Training aborted; the message names the iteration, layer and step."""
 
 
-def _int_field(config, name, minimum):
-    """Store field ``name`` of the frozen dataclass ``config`` as an ``int``
-    of at least ``minimum``, or raise ValueError naming it.  Numpy integers
-    are taken; bools and non-integers are refused, because ``True == 1``
-    and ``2.5 >= 1`` would pass a value check, and ``json`` cannot write a
-    numpy integer into a model file."""
-    value = getattr(config, name)
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    if value < minimum:
-        raise ValueError(f"{name} must be >= {minimum}")
-    object.__setattr__(config, name, int(value))
-
-
 @dataclass(frozen=True)
 class ModelConfig:
     """Hyperparameters of one model.
@@ -83,7 +67,7 @@ class ModelConfig:
     coefficients; gamma1/gamma2 are the proximal anchor weights of the
     bank/coefficient updates.  The integer fields are stored as ``int``
     and the float fields as ``float`` under the rules of
-    :data:`dctl.prox.REAL_RULES` (numpy numbers are accepted, bools are
+    :data:`dctl.data.REAL_RULES` (numpy numbers are accepted, bools are
     not); the seed must be non-negative.
     """
 
@@ -99,10 +83,10 @@ class ModelConfig:
     seed: int = 0
 
     def __post_init__(self):
-        _int_field(self, "num_layers", 1)
-        _int_field(self, "num_kernels", 1)
-        _int_field(self, "max_outer_iters", 1)
-        _int_field(self, "seed", 0)
+        # stored as int, since json cannot write a numpy integer to a model file
+        for name, minimum in (("num_layers", 1), ("num_kernels", 1),
+                              ("max_outer_iters", 1), ("seed", 0)):
+            object.__setattr__(self, name, as_int(getattr(self, name), name, minimum))
         for name in ("mu", "lam", "beta", "gamma1", "gamma2", "objective_tol"):
             object.__setattr__(self, name, as_real(getattr(self, name), name))
 

@@ -23,8 +23,6 @@ subproblems the alternating trainer cycles through:
   and its stopping tolerance scales with the largest entry of its inputs.
 """
 
-import math
-import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -36,7 +34,9 @@ from .conv import channel_major
 from .conv import channelwise_forward as _conv_rows
 # unused, but bench/tracing.py's TRACE_POINTS look this name up on the module
 from .conv import conv_same_matrix  # noqa: F401
-from .data import as_matrix
+from .data import as_matrix, as_real
+# unused, but kept importable as dctl.prox.REAL_RULES
+from .data import REAL_RULES  # noqa: F401
 
 __all__ = [
     "NumericalConditioningError",
@@ -61,33 +61,6 @@ BACKTRACK_FACTOR = 0.5
 ACTIVE_SET_EPS = 1e-10
 MAX_ITERS = 50
 GRAD_TOL = 1e-8
-
-# The rule every real hyperparameter obeys, wherever it is passed: a test
-# of the float value, and what "<name> must ..." says when it fails.
-_FINITE_NONNEG = (lambda v: math.isfinite(v) and v >= 0, "be finite and >= 0")
-_FINITE_POSITIVE = (lambda v: math.isfinite(v) and v > 0, "be finite and positive")
-REAL_RULES = {
-    "mu": _FINITE_NONNEG,
-    "lam": _FINITE_POSITIVE,
-    "beta": _FINITE_NONNEG,
-    "gamma1": _FINITE_POSITIVE,
-    "gamma2": _FINITE_POSITIVE,
-    "weight": _FINITE_POSITIVE,
-    "objective_tol": (lambda v: v >= 0, "be >= 0"),
-}
-
-
-def as_real(value, name):
-    """``value`` as a ``float`` obeying ``REAL_RULES[name]``, or a ValueError
-    naming ``name``.  Numpy numbers are taken; bools and non-reals are
-    refused, because ``True > 0`` would pass the rule."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ValueError(f"{name} must be a real number, got {value!r}")
-    value = float(value)
-    ok, rule = REAL_RULES[name]
-    if not ok(value):
-        raise ValueError(f"{name} must {rule}")
-    return value
 
 
 def prox_nonneg_l1(v, beta, weight, out=None):

@@ -354,7 +354,7 @@ def _pca_inputs():
 def test_pca_basis_spans_top_singular_subspace(case):
     x, n_clusters, kept = _pca_inputs()[case]
     centered = x - x.mean(axis=0)
-    basis = _pca_basis(centered, n_clusters - 1)
+    basis = _pca_basis(x, x.mean(axis=0), n_clusters - 1)
     assert basis.shape == (kept, x.shape[1])
     assert np.allclose(basis @ basis.T, np.eye(kept), rtol=0.0, atol=1e-12)
     _, _, vh = np.linalg.svd(centered, full_matrices=False)
@@ -366,21 +366,39 @@ def test_pca_basis_spans_top_singular_subspace(case):
 def test_pca_basis_hands_eigh_the_gram_without_a_copy(shape, monkeypatch):
     rng = np.random.default_rng(18)
     x = rng.standard_normal(shape) * np.linspace(3.0, 0.5, shape[1])
-    centered = x - x.mean(axis=0)
+    mean = x.mean(axis=0)
     small = min(shape)
+    # x is not centered, so the measured region covers the centering too
     tracemalloc.start()
     try:
-        basis = _pca_basis(centered, 3)
+        basis = _pca_basis(x, mean, 3)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     gram_bytes = small * small * 8
     assert peak - gram_bytes < 0.25 * gram_bytes
-    # the transpose is the same matrix: a C-ordered copy gives the same bits
+    # the Fortran-ordered Gram goes to LAPACK as it is: a C-ordered copy,
+    # which f2py copies back, gives the same bits
     eigh = dctl.evaluation.eigh
     monkeypatch.setattr(dctl.evaluation, "eigh",
                         lambda a, **kwargs: eigh(np.array(a, order="C"), **kwargs))
-    assert _pca_basis(centered, 3).tobytes() == basis.tobytes()
+    assert _pca_basis(x, mean, 3).tobytes() == basis.tobytes()
+
+
+@pytest.mark.parametrize("shape", [(600, 512), (400, 600)])
+def test_kmeans_pca_holds_the_gram_and_one_block_beyond_its_input(shape):
+    # no centered copy of the features: a tall and a wide input each peak
+    # below the Gram of their smaller side plus a quarter of it
+    rng = np.random.default_rng(19)
+    x = rng.standard_normal(shape) * np.linspace(3.0, 0.5, shape[1])
+    gram_bytes = min(shape) ** 2 * 8
+    tracemalloc.start()
+    try:
+        kmeans(x, 4, init="pca", seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * gram_bytes
 
 
 @pytest.mark.parametrize("case", sorted(_pca_inputs()))

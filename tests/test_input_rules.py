@@ -1,10 +1,12 @@
-"""Every public entry point refuses a bad matrix or real hyperparameter with
-a ValueError whose message starts with the argument's name.
+"""Every public entry point refuses a bad matrix, real hyperparameter or
+integer argument with a ValueError whose message starts with the
+argument's name.
 
-Matrices go through ``dctl.data.as_matrix`` and real hyperparameters through
-``dctl.prox.as_real``; each case here calls a public function, so a caller
-that skips the shared check shows up by name.  Warnings are errors, so a
-bad input that numpy only warns about is a failure too.
+Matrices go through ``dctl.data.as_matrix``, real hyperparameters through
+``dctl.data.as_real`` and integer arguments through ``dctl.data.as_int``;
+each case here calls a public function, so a caller that skips the shared
+check shows up by name.  Warnings are errors, so a bad input that numpy
+only warns about is a failure too.
 """
 
 import numpy as np
@@ -14,7 +16,9 @@ from dctl import (
     CoeffQuadratics,
     ModelConfig,
     TransformUpdateInputs,
+    conv_same_matrix,
     encode,
+    generate_synthetic,
     init_model,
     kmeans,
     knn_classify,
@@ -94,6 +98,24 @@ REAL_CALLS = {
         lambda v: projected_newton_coeffs(QUAD.below, QUAD, v, 1.0),
     ("projected_newton_coeffs", "gamma2"):
         lambda v: projected_newton_coeffs(QUAD.below, QUAD, 0.01, v),
+    ("generate_synthetic", "noise_sigma"): lambda v: generate_synthetic(2, 2, 8, noise_sigma=v),
+}
+
+# fractions were truncated and bools taken as 0 or 1 by int()
+BAD_INTS = {"fraction": 2.9, "true": True, "str": "3"}
+
+# (entry point, argument) -> (call with the value, a value the call takes)
+INT_CALLS = {
+    ("knn_classify", "k"): (lambda v: knn_classify(GOOD, LABELS, GOOD, v), 3),
+    ("kmeans", "n_clusters"): (lambda v: kmeans(GOOD, v).assignments, 3),
+    ("toeplitz_stack", "kernel_size"): (lambda v: toeplitz_stack(GOOD, v), 3),
+    ("conv_same_matrix", "size"): (lambda v: conv_same_matrix(np.ones(3), v), 3),
+    ("generate_synthetic", "classes"): (lambda v: generate_synthetic(v, 2, 8)[0], 3),
+    ("generate_synthetic", "per_class"): (lambda v: generate_synthetic(2, v, 8)[0], 3),
+    ("generate_synthetic", "length"): (lambda v: generate_synthetic(2, 2, v)[0], 8),
+    ("generate_synthetic", "motif_count"):
+        (lambda v: generate_synthetic(2, 2, 8, motif_count=v)[0], 3),
+    # ModelConfig's integer fields: test_config_integer_fields_refuse_bools_and_non_integers
 }
 
 
@@ -104,6 +126,10 @@ def _cases():
                                id=f"{entry}-{name}-{bad_id}")
     for (entry, name), call in REAL_CALLS.items():
         for bad_id, bad in BAD_REALS.items():
+            yield pytest.param(name, lambda path, call=call, bad=bad: call(bad),
+                               id=f"{entry}-{name}-{bad_id}")
+    for (entry, name), (call, _) in INT_CALLS.items():
+        for bad_id, bad in BAD_INTS.items():
             yield pytest.param(name, lambda path, call=call, bad=bad: call(bad),
                                id=f"{entry}-{name}-{bad_id}")
     # ModelConfig's bools and non-reals: test_config_float_fields_refuse_bools_and_non_reals
@@ -126,3 +152,10 @@ def test_public_entry_points_refuse_bad_inputs_by_name(name, call, tmp_path):
     with pytest.raises(ValueError, match=f"^{name} "):
         call(path)
     assert not path.exists()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("call, good", list(INT_CALLS.values()),
+                         ids=[f"{entry}-{name}" for entry, name in INT_CALLS])
+def test_integer_arguments_take_numpy_integers(call, good):
+    assert np.array_equal(call(np.int64(good)), call(good))
