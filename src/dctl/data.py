@@ -98,35 +98,28 @@ def _parse_csv_rows(path):
             for line_no, row in enumerate(csv.reader(handle), start=1):
                 if not row or all(not cell.strip() for cell in row):
                     continue
-                try:
-                    # numpy converts each str with float(), so the bits match
-                    values = np.array(row, dtype=np.float64)
-                    clean = bool(np.isfinite(values).all())
-                except ValueError:
-                    clean = False
-                if not clean:
-                    # cell by cell: skip a header, or name the first bad cell
-                    values = []
-                    for col_no, cell in enumerate(row, start=1):
-                        try:
-                            value = float(cell)
-                        except ValueError:
-                            # tolerate a single leading header line of non-numeric names
-                            if not rows and not header_skipped and col_no == 1:
-                                header_skipped = True
-                                values = None
-                                break
-                            raise DatasetFormatError(
-                                f"{path}: row {line_no}, column {col_no}: "
-                                f"could not parse {cell.strip()!r} as a number"
-                            ) from None
-                        if not math.isfinite(value):
-                            raise DatasetFormatError(
-                                f"{path}: row {line_no}, column {col_no}: non-finite value"
-                            )
-                        values.append(value)
-                    if values is None:
-                        continue
+                # cell by cell: skip a header, or name the first bad cell
+                values = []
+                for col_no, cell in enumerate(row, start=1):
+                    try:
+                        value = float(cell)
+                    except ValueError:
+                        # tolerate a single leading header line of non-numeric names
+                        if not rows and not header_skipped and col_no == 1:
+                            header_skipped = True
+                            values = None
+                            break
+                        raise DatasetFormatError(
+                            f"{path}: row {line_no}, column {col_no}: "
+                            f"could not parse {cell.strip()!r} as a number"
+                        ) from None
+                    if not math.isfinite(value):
+                        raise DatasetFormatError(
+                            f"{path}: row {line_no}, column {col_no}: non-finite value"
+                        )
+                    values.append(value)
+                if values is None:
+                    continue
                 if width is None:
                     width = len(values)
                 elif len(values) != width:

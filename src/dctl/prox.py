@@ -35,8 +35,6 @@ from .conv import channelwise_forward as _conv_rows
 # unused, but bench/tracing.py's TRACE_POINTS look this name up on the module
 from .conv import conv_same_matrix  # noqa: F401
 from .data import as_matrix, as_real
-# unused, but kept importable as dctl.prox.REAL_RULES
-from .data import REAL_RULES  # noqa: F401
 
 __all__ = [
     "NumericalConditioningError",
@@ -185,7 +183,7 @@ class CoeffQuadratics:
 
     def __post_init__(self):
         below = np.asarray(self.below, dtype=np.float64)
-        bank = np.asarray(self.bank_above, dtype=np.float64)
+        bank = as_matrix(self.bank_above, "bank_above")
         above = np.asarray(self.above, dtype=np.float64)
         if below.ndim != 3:
             raise ValueError(f"below must be (M, N, K), got shape {below.shape}")
@@ -239,25 +237,10 @@ def _newton_direction(bands, grad, free):
     ab[0, ~flat_free] = 1.0
     for d in range(1, bands.shape[0]):
         ab[d, :-d] *= flat_free[:-d] & flat_free[d:]
-    try:
-        direction = scipy.linalg.solveh_banded(
-            ab, grad.ravel(), overwrite_ab=True, lower=True, check_finite=False
-        )
-    except np.linalg.LinAlgError as exc:
-        raise NumericalConditioningError(
-            f"coefficient Newton system is not positive definite: {exc}"
-        ) from exc
+    direction = scipy.linalg.solveh_banded(
+        ab, grad.ravel(), overwrite_ab=True, lower=True, check_finite=False
+    )
     return direction.reshape(count, n)
-
-
-def _cholesky_bands(bands):
-    """Lower banded Cholesky factor of H, given in lower band storage."""
-    try:
-        return scipy.linalg.cholesky_banded(bands, lower=True, check_finite=False)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalConditioningError(
-            f"coefficient Newton system is not positive definite: {exc}"
-        ) from exc
 
 
 def _free_direction(factor, grad):
@@ -302,15 +285,20 @@ def _newton_channel(z, anchor, below, above, kernel, beta, inv_g2, tol):
     Block m minimizes the strictly convex :func:`_block_values` with the
     anchor, below and above rows m.  All blocks share the Hessian H,
     so each iteration takes one Newton step for every unconverged block at
-    once, with an Armijo backtracking step size per block.  A block stops
-    once no entry of its projected gradient exceeds ``tol``.  Blocks with
-    no clamped coordinate solve with one banded Cholesky factor of H, taken
-    before the first iteration; only blocks with a clamped coordinate go
-    through the tiled solve of :func:`_newton_direction`.  Returns
-    (converged, iterations): iterations is the most any block used.
+    once.  The Armijo backtracking tries one step size per round on every
+    block not yet accepted, halving it each round.  A block stops once no
+    entry of its projected gradient exceeds ``tol``, or once an iteration
+    leaves its value no lower in float64: its accepted step no longer
+    lowers it, which counts as converged, or the step size fell below
+    1e-14 with no accepted step, a stall that keeps the iterate and makes
+    the result unconverged.  Blocks with no clamped coordinate solve with
+    one banded Cholesky factor of H, taken before the first iteration; only
+    blocks with a clamped coordinate go through the tiled solve of
+    :func:`_newton_direction`.  Returns (converged, iterations):
+    iterations is the most any block used.
     """
     bands = _hessian_bands(kernel, z.shape[1], 1.0 + inv_g2)
-    factor = _cholesky_bands(bands)
+    factor = scipy.linalg.cholesky_banded(bands, lower=True, check_finite=False)
 
     # the active blocks: rows of z, their anchor/below/above rows, iterates,
     # responses C z and values, all filtered together when a block stops;
@@ -320,6 +308,8 @@ def _newton_channel(z, anchor, below, above, kernel, beta, inv_g2, tol):
     zs, a, b, c = (np.ascontiguousarray(x) for x in (z, anchor, below, above))
     cz = _conv_rows(zs, kernel)
     f = _block_values(zs, cz, a, b, c, beta, inv_g2)
+    if not np.all(np.isfinite(f)):
+        raise NumericalConditioningError("coefficient block objective is not finite")
     converged, used = True, 0
     for it in range(MAX_ITERS):
         grad = _block_gradient(zs, cz, a, b, c, kernel, beta, inv_g2)
@@ -334,8 +324,6 @@ def _newton_channel(z, anchor, below, above, kernel, beta, inv_g2, tol):
             )
         if not rows.size:
             return converged, used
-        if it == 0 and not np.all(np.isfinite(f)):
-            raise NumericalConditioningError("coefficient block objective is not finite")
         full = free.all(axis=1)
         if full.all():
             direction = _free_direction(factor, grad)
@@ -345,15 +333,18 @@ def _newton_channel(z, anchor, below, above, kernel, beta, inv_g2, tol):
                 direction[full] = _free_direction(factor, grad[full])
             part = ~full
             direction[part] = _newton_direction(bands, grad[part], free[part])
-        step = np.ones(rows.size)
+        before = f.copy()
+        step = 1.0
         trial = np.arange(rows.size)
-        stalled = np.zeros(rows.size, dtype=bool)
-        new_z = None
         while trial.size:
+            if step < 1e-14:
+                # direction numerically exhausted: these blocks keep their iterates
+                converged = False
+                break
             # while every block is on trial, index with views, not copies
             whole = trial.size == rows.size
             sel = slice(None) if whole else trial
-            zt = np.maximum(zs[sel] - step[sel, None] * direction[sel], 0.0)
+            zt = np.maximum(zs[sel] - step * direction[sel], 0.0)
             czt = _conv_rows(zt, kernel)
             ft = _block_values(zt, czt, a[sel], b[sel], c[sel], beta, inv_g2)
             if not np.all(np.isfinite(ft)):
@@ -364,25 +355,18 @@ def _newton_channel(z, anchor, below, above, kernel, beta, inv_g2, tol):
             ok = (ft <= f[sel] - ARMIJO_C * np.maximum(decrease, 0.0)) & (ft <= f[sel])
             if whole and ok.all():
                 # every block accepts this step: the trial arrays are the new iterates
-                new_z, new_cz, new_f = zt, czt, ft
+                zs, cz, f = zt, czt, ft
                 break
-            if new_z is None:
-                new_z, new_cz, new_f = zs.copy(), cz.copy(), f.copy()
             done = trial[ok]
-            new_z[done], new_cz[done], new_f[done] = zt[ok], czt[ok], ft[ok]
+            zs[done], cz[done], f[done] = zt[ok], czt[ok], ft[ok]
             trial = trial[~ok]
-            step[trial] *= BACKTRACK_FACTOR
-            # direction numerically exhausted: the block keeps its iterate
-            exhausted = step[trial] < 1e-14
-            if exhausted.any():
-                converged, used = False, max(used, it + 1)
-                stalled[trial[exhausted]] = True
-                trial = trial[~exhausted]
-        z[rows] = new_z
-        zs, cz, f = new_z, new_cz, new_f
-        if stalled.any():
-            going = ~stalled
-            rows, zs, cz, f, a, b, c = (x[going] for x in (rows, zs, cz, f, a, b, c))
+            step *= BACKTRACK_FACTOR
+        z[rows] = zs
+        # a block whose value did not fall, stalled or at float64's floor, stops
+        fell = f < before
+        if not fell.all():
+            used = max(used, it + 1)
+            rows, zs, cz, f, a, b, c = (x[fell] for x in (rows, zs, cz, f, a, b, c))
     return False, MAX_ITERS
 
 
@@ -410,16 +394,20 @@ def projected_newton_coeffs(z0, quad, beta, gamma2):
     every entry of its projected gradient is at most ``GRAD_TOL`` (1e-8)
     times the inputs' scale, the largest of 1 and every |entry| of ``z0``,
     ``quad.below`` and ``quad.above``, so data of any magnitude meets the
-    stop; the cap is ``MAX_ITERS`` (50) iterations, and the Armijo constant
-    ``ARMIJO_C``, backtracking factor ``BACKTRACK_FACTOR`` and active-set
-    threshold ``ACTIVE_SET_EPS`` are fixed too.  Blocks whose start point
-    already meets the stop are left untouched.  Returns the updated
-    (M, N, K) array, channel-major (see :func:`dctl.conv.channel_major`) so
-    that each channel's solve writes one contiguous block, plus a flag that
-    is False when some block hit the cap before the stop or its line
-    search ran out of step (the best iterate is still returned; the line
-    search never accepts an increase, so the objective never exceeds its
-    value at ``z0``), and the most iterations any block used.
+    stop.  A block also stops, as converged, once its accepted step no
+    longer lowers its value in float64, where round-off keeps its gradient
+    above the stop.  The cap is ``MAX_ITERS`` (50) iterations, and the
+    Armijo constant ``ARMIJO_C``, backtracking factor ``BACKTRACK_FACTOR``
+    and active-set threshold ``ACTIVE_SET_EPS`` are fixed too.  Blocks
+    whose start point already meets the stop are left untouched.  Returns
+    the updated (M, N, K) array, channel-major (see
+    :func:`dctl.conv.channel_major`) so that each channel's solve writes
+    one contiguous block, plus a flag that is False when some block hit
+    the cap before the stop or its line search ran out of step (the best
+    iterate is still returned; the line search never accepts an increase,
+    so the objective never exceeds its value at ``z0``), and the most
+    iterations any block used.  A LAPACK failure of a banded factor or
+    solve raises NumericalConditioningError.
     """
     if not isinstance(quad, CoeffQuadratics):
         raise ValueError("quad must be a CoeffQuadratics instance")
@@ -432,11 +420,16 @@ def projected_newton_coeffs(z0, quad, beta, gamma2):
     out = np.maximum(z0, 0.0, out=channel_major(*z0.shape))
     converged = True
     iterations = 0
-    for chan in range(z0.shape[2]):
-        ok, used = _newton_channel(
-            out[:, :, chan], z0[:, :, chan], quad.below[:, :, chan], quad.above[:, :, chan],
-            quad.bank_above[:, chan], beta, inv_g2, tol,
-        )
-        converged = converged and ok
-        iterations = max(iterations, used)
+    try:
+        for chan in range(z0.shape[2]):
+            ok, used = _newton_channel(
+                out[:, :, chan], z0[:, :, chan], quad.below[:, :, chan],
+                quad.above[:, :, chan], quad.bank_above[:, chan], beta, inv_g2, tol,
+            )
+            converged = converged and ok
+            iterations = max(iterations, used)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalConditioningError(
+            f"coefficient Newton system is not positive definite: {exc}"
+        ) from exc
     return NewtonResult(out, converged, iterations)

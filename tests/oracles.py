@@ -32,7 +32,7 @@ __all__ = [
     "grid_search_scalar_prox",
     "golden_section",
     "transform_objective",
-    "transform_gd_oracle",
+    "transform_gd_oracles",
     "coeff_objective_direct",
     "coeff_pg_oracle",
     "newton_channel_reference",
@@ -118,62 +118,73 @@ def golden_section(fn, lo, hi, tol=1e-12):
 
 def transform_objective(t, gram, cross, anchor, mu, lam, gamma1):
     """Objective of the bank subproblem at the matrix ``t``."""
+    return float(_transform_objectives(t[None], gram, cross, anchor, mu, lam, gamma1)[0])
+
+
+def _transform_objectives(t, gram, cross, anchor, mu, lam, gamma1):
+    """Objective of each matrix of the (B, k, k) stack ``t``, inf where it is
+    singular; the data are one problem's or stacks of B problems' (the reals
+    as (B, 1, 1) columns)."""
     svals = np.linalg.svd(t, compute_uv=False)
-    if svals.min() <= 0.0:
-        return np.inf
-    return float(
-        0.5 * np.sum(t * (gram @ t))
-        - np.sum(cross * t)
-        + mu * np.sum(t * t)
-        - lam * np.sum(np.log(svals))
-        + 0.5 / gamma1 * np.sum((t - anchor) ** 2)
+    regular = svals.min(axis=1) > 0.0
+    log_svals = np.log(np.where(regular[:, None], svals, 1.0))
+    value = (
+        0.5 * np.sum(t * (gram @ t), axis=(1, 2))
+        - np.sum(cross * t, axis=(1, 2))
+        + np.ravel(mu) * np.sum(t * t, axis=(1, 2))
+        - np.ravel(lam) * np.sum(log_svals, axis=1)
+        + 0.5 / np.ravel(gamma1) * np.sum((t - anchor) ** 2, axis=(1, 2))
     )
+    return np.where(regular, value, np.inf)
 
 
-def transform_gd_oracle(gram, cross, anchor, mu, lam, gamma1,
-                        iters=10_000, n_starts=5, seed=0):
-    """Best bank found by monotone gradient descent from several starts.
+def transform_gd_oracles(problems, seeds, iters=10_000, n_starts=5):
+    """Best bank found by monotone gradient descent from several starts, per problem.
 
-    Runs all starts in one batched loop with a per-start adaptive step:
-    a step is kept only if it decreases the objective (rejected steps
-    shrink the step size), so every trajectory is monotone.  Returns
-    (best_objective, best_matrix).
+    ``problems`` holds (gram, cross, anchor, mu, lam, gamma1) tuples of one
+    size k.  Problem i starts from its anchor and from n_starts - 1 random
+    well-conditioned matrices drawn with ``seeds[i]``.  Every (problem,
+    start) pair runs in one stacked loop with its own adaptive step: a step
+    is kept only if it decreases the objective (rejected steps shrink the
+    step size), so every trajectory is monotone.  Returns one
+    (best_objective, best_matrix) per problem.
     """
-    k = gram.shape[0]
-    rng = np.random.default_rng(seed)
-    starts = [anchor.copy()]
-    while len(starts) < n_starts:
-        cand = np.eye(k) + 0.3 * rng.standard_normal((k, k))
-        if np.linalg.svd(cand, compute_uv=False).min() > 0.05:
-            starts.append(cand)
+    k = problems[0][0].shape[0]
+    starts = []
+    for (_, _, anchor, *_), seed in zip(problems, seeds, strict=True):
+        rng = np.random.default_rng(seed)
+        mats = [anchor.copy()]
+        while len(mats) < n_starts:
+            cand = np.eye(k) + 0.3 * rng.standard_normal((k, k))
+            if np.linalg.svd(cand, compute_uv=False).min() > 0.05:
+                mats.append(cand)
+        starts += mats
+    # each problem's data repeated once per start, the reals as (B, 1, 1) columns
+    fields = [np.array(field, dtype=np.float64) for field in zip(*problems)]
+    gram, cross, anchor = (np.repeat(x, n_starts, axis=0) for x in fields[:3])
+    mu, lam, gamma1 = (np.repeat(x, n_starts)[:, None, None] for x in fields[3:])
     t = np.stack(starts)
-    steps = np.full(len(starts), 1e-2)
-
-    def values(mats):
-        out = np.empty(mats.shape[0])
-        for i, m in enumerate(mats):
-            out[i] = transform_objective(m, gram, cross, anchor, mu, lam, gamma1)
-        return out
-
-    f = values(t)
+    steps = np.full(t.shape[0], 1e-2)
+    f = _transform_objectives(t, gram, cross, anchor, mu, lam, gamma1)
     for _ in range(iters):
         inv_t = np.linalg.inv(t)
         grad = (
-            np.einsum("ij,bjk->bik", gram, t)
+            gram @ t
             - cross
             + 2.0 * mu * t
             - lam * np.transpose(inv_t, (0, 2, 1))
             + (t - anchor) / gamma1
         )
         cand = t - steps[:, None, None] * grad
-        f_cand = values(cand)
+        f_cand = _transform_objectives(cand, gram, cross, anchor, mu, lam, gamma1)
         better = f_cand < f
         t = np.where(better[:, None, None], cand, t)
         f = np.where(better, f_cand, f)
         steps = np.where(better, steps * 1.2, steps * 0.5)
         steps = np.clip(steps, 1e-16, 1.0)
-    best = int(np.argmin(f))
-    return float(f[best]), t[best]
+    f, t = f.reshape(len(problems), n_starts), t.reshape(len(problems), n_starts, k, k)
+    best = np.argmin(f, axis=1)
+    return [(float(f[i, j]), t[i, j]) for i, j in enumerate(best)]
 
 
 def coeff_objective_direct(z, anchor, below, bank_above, above, beta, gamma2):

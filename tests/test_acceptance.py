@@ -37,7 +37,7 @@ from oracles import (
     fd_gradient,
     grid_search_scalar_prox,
     make_blobs,
-    transform_gd_oracle,
+    transform_gd_oracles,
     transform_objective,
 )
 
@@ -100,13 +100,14 @@ def halved_spectral_shift_update(gram, cross, anchor, mu, lam, gamma1):
 
 def test_criterion_02_transform_update_beats_gradient_descent_oracle():
     rng = np.random.default_rng(200)
-    for trial in range(20):
-        gram, cross, anchor, mu, lam, gamma1 = transform_instance(rng)
+    problems = [transform_instance(rng) for _ in range(20)]
+    # trial i's oracle descends from 5 starts drawn with seed i; all 100
+    # (trial, start) descents run as one stack
+    oracles = transform_gd_oracles(problems, seeds=range(20), iters=10_000, n_starts=5)
+    for (gram, cross, anchor, mu, lam, gamma1), (f_oracle, _) in zip(problems, oracles):
         ours = update_transform(TransformUpdateInputs(gram, cross, anchor,
                                                       mu, lam, gamma1))
         f_ours = transform_objective(ours, gram, cross, anchor, mu, lam, gamma1)
-        f_oracle, _ = transform_gd_oracle(gram, cross, anchor, mu, lam, gamma1,
-                                          iters=10_000, n_starts=5, seed=trial)
         assert f_ours <= f_oracle + 1e-6
         assert stationarity_residual(ours, gram, cross, anchor,
                                      mu, lam, gamma1) < 1e-6

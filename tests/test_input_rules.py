@@ -80,6 +80,9 @@ MATRIX_CALLS = {
     ("TransformUpdateInputs", "anchor"):
         lambda x, path: TransformUpdateInputs(EYE, EYE, x, 0.01, 0.01, 1.0),
     ("prox_logdet_svd", "y"): lambda x, path: prox_logdet_svd(x, 0.01),
+    # a NaN bank made every block's gradient NaN, and each passed the stop untouched
+    ("CoeffQuadratics", "bank_above"):
+        lambda x, path: CoeffQuadratics(np.ones((2, 6, 4)), x, np.ones((2, 6, 4))),
 }
 
 BAD_REALS = {"true": True, "str": "0.5", "none": None, "nan": np.nan,

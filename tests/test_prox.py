@@ -1,5 +1,7 @@
 """Proximity operators and the projected Newton coefficient solver."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -21,7 +23,6 @@ from dctl.prox import (
 from dctl.prox import (
     _block_gradient,
     _block_values,
-    _cholesky_bands,
     _conv_rows,
     _free_direction,
     _hessian_bands,
@@ -35,7 +36,7 @@ from oracles import (
     golden_section,
     grid_search_scalar_prox,
     projected_newton_reference,
-    transform_gd_oracle,
+    transform_gd_oracles,
     transform_objective,
 )
 
@@ -252,14 +253,15 @@ def test_update_transform_least_squares_limit():
 
 def test_update_transform_beats_gd_oracle():
     rng = np.random.default_rng(26)
-    for trial in range(5):
-        inputs = random_transform_instance(rng, 3)
+    problems = [random_transform_instance(rng, 3) for _ in range(5)]
+    fields = ("gram", "cross", "anchor", "mu", "lam", "gamma1")
+    oracles = transform_gd_oracles([[getattr(inputs, name) for name in fields]
+                                    for inputs in problems],
+                                   seeds=range(5), iters=3000, n_starts=3)
+    for inputs, (f_oracle, _) in zip(problems, oracles):
         t = update_transform(inputs)
         f_closed = transform_objective(t, inputs.gram, inputs.cross, inputs.anchor,
                                        inputs.mu, inputs.lam, inputs.gamma1)
-        f_oracle, _ = transform_gd_oracle(inputs.gram, inputs.cross, inputs.anchor,
-                                          inputs.mu, inputs.lam, inputs.gamma1,
-                                          iters=3000, n_starts=3, seed=trial)
         assert f_closed <= f_oracle + 1e-6
 
 
@@ -481,7 +483,8 @@ def test_free_direction_matches_dense_solve_and_tiled_bits():
         hess = cmat.T @ cmat + 1.5 * np.eye(n)
         bands = _hessian_bands(kernel, n, 1.5)
         grad = rng.standard_normal((5, n))
-        direction = _free_direction(_cholesky_bands(bands), grad)
+        factor = scipy.linalg.cholesky_banded(bands, lower=True)
+        direction = _free_direction(factor, grad)
         expected = np.linalg.solve(hess, grad.T).T
         assert np.allclose(direction, expected, rtol=1e-10, atol=1e-12), (k, n)
         tiled = _newton_direction(bands, grad, np.ones((5, n), dtype=bool))
@@ -561,6 +564,27 @@ def test_projected_newton_matches_reference_bitwise(m, n, k, kind, settings, mon
         assert not converged and iterations < dctl.prox.MAX_ITERS
     if dctl.prox.MAX_ITERS == 1:
         assert not converged
+
+
+def test_projected_newton_stops_a_block_at_the_float64_floor():
+    # sample 56 of the first unconverged solve when the README data
+    # (generate_synthetic(3, 20, 64, noise_sigma=0.3, seed=7), normalized)
+    # trains with ModelConfig(num_layers=3, num_kernels=8, lam=12.8): after
+    # three Newton iterations its value no longer changes in float64 while
+    # its projected gradient stays at 1.37e-8, above the 1e-8 stop, so the
+    # gradient stop alone runs it to the cap
+    data = np.load(Path(__file__).parent / "data" / "newton_floor_block.npz")
+    z0, below, bank, above = (data[name] for name in ("z0", "below", "bank", "above"))
+    beta, gamma2 = float(data["beta"]), float(data["gamma2"])
+    coeffs, converged, iterations = projected_newton_reference(
+        z0, below, bank, above, beta, gamma2
+    )
+    assert (converged, iterations) == (False, dctl.prox.MAX_ITERS)
+    result = projected_newton_coeffs(z0, CoeffQuadratics(below, bank, above), beta, gamma2)
+    assert result.converged
+    f_new = coeff_objective_direct(result.coeffs, z0, below, bank, above, beta, gamma2)
+    f_ref = coeff_objective_direct(coeffs, z0, below, bank, above, beta, gamma2)
+    assert abs(f_new - f_ref) <= 1e-12
 
 
 @pytest.mark.parametrize("m, n, k", [(9, 12, 4), (40, 64, 8)])
