@@ -194,9 +194,8 @@ def load_matrix(path, fmt="csv", cols=None):
     by one ``np.loadtxt`` call on the open file: numpy's C reader converts
     each field with the routine ``float()`` ends in, so the bits are the
     same, and the result is its only full-size array.  Anything else it
-    rejects is read again by ``csv.reader``, one numpy conversion per row
-    and a cell-by-cell pass for a row that fails; that reader is the only
-    source of the errors above.  One difference remains: ``csv.reader``
+    rejects is read again by ``csv.reader`` and converted cell by cell
+    with ``float()``; that reader is the only source of the errors above.  One difference remains: ``csv.reader``
     refuses a field longer than ``csv.field_size_limit()`` characters,
     which is an error naming its record, and numpy's reader does not.
 
