@@ -139,7 +139,8 @@ def _bank_reg(bank, config):
 
 
 def _layer_terms(data, transforms, coeffs, config):
-    """Per-layer objective terms: data fits, bank regularizers, unscaled l1 sums."""
+    """Per-layer objective terms: data fits, bank regularizers, unscaled l1
+    sums, all recomputed; the terms ``train`` caches equal them bit for bit."""
     prevs = [data] + list(coeffs[:-1])
     fits = [_fit(_forward(prev, bank), z) for prev, bank, z in zip(prevs, transforms, coeffs)]
     regs = [_bank_reg(bank, config) for bank in transforms]
@@ -155,16 +156,16 @@ def _objective_sum(fits, regs, l1s, beta):
     return sum(fits) + sum(regs) + beta * sum(l1s)
 
 
-def _walk(data, transforms, beta, features=False):
+def _walk(data, transforms, beta):
     """Yield each layer's coefficients ``prox_nonneg_l1(forward, beta, 1)``
     in layer order; the shrink overwrites the fresh response, so the layer
     below is the only other stack alive.  Every stack is channel-major
-    except, with ``features``, the last, which is position-major so that
-    its (M, N K) feature rows are a view of it."""
+    except the last, which is position-major so that its (M, N K) feature
+    rows are a view of it."""
     current = data
     for depth, bank in enumerate(transforms, 1):
         out = None
-        if features and depth == len(transforms):
+        if depth == len(transforms):
             out = np.empty(current.shape[:2] + bank.shape[1:])
         response = _forward(current, bank, out)
         current = prox_nonneg_l1(response, beta, 1.0, out=response)
@@ -179,7 +180,16 @@ def init_model(config, data):
     rectified forward pass of the data through those banks (the layer
     walk at beta = 0), so they are feasible by construction.
     """
-    data = _check_data(data, config)
+    transforms, coeffs, _ = _init_state(config, _check_data(data, config))
+    return transforms, coeffs
+
+
+def _init_state(config, data):
+    """``init_model`` of checked ``data``, and each layer's data fit
+    0.5 ||forward - coefficients||^2.  The walk at beta = 0 makes the
+    coefficients max(forward, 0), so the fit is 0.5 ||min(forward, 0)||^2,
+    taken before the shrink overwrites the response: the bits ``_fit``
+    gives on a second forward pass, from a temporary of the same layout."""
     rng = np.random.default_rng(config.seed)
     k = config.num_kernels
     transforms = []
@@ -191,7 +201,16 @@ def init_model(config, data):
         else:
             raise RuntimeError("could not draw a well-conditioned initial bank")
         transforms.append(bank)
-    return transforms, list(_walk(data, transforms, 0.0))
+    coeffs, fits = [], []
+    current = data
+    for bank in transforms:
+        response = _forward(current, bank)
+        negative = np.minimum(response, 0.0)
+        fits.append(0.5 * np.sum(np.square(negative, out=negative)))
+        del negative  # not alive during the next layer's forward pass
+        current = prox_nonneg_l1(response, 0.0, 1.0, out=response)
+        coeffs.append(current)
+    return transforms, coeffs, fits
 
 
 def _transform_inputs(layer, transforms, coeffs, data, config):
@@ -289,10 +308,11 @@ def train(data, config):
     data = _check_data(data, config)
     n_layers = config.num_layers
     inv_g2 = 1.0 / config.gamma2
-    transforms, coeffs = init_model(config, data)
     # cached per-layer terms; an update to layer l changes only fit_l,
     # reg_l, l1_l and fit_{l+1}; _objective_sum fixes the summation order
-    fits, regs, l1s = _layer_terms(data, transforms, coeffs, config)
+    transforms, coeffs, fits = _init_state(config, data)
+    regs = [_bank_reg(bank, config) for bank in transforms]
+    l1s = [float(np.sum(np.abs(z))) for z in coeffs]
     value = float(_objective_sum(fits, regs, l1s, config.beta))
     trace = [(0, 0, value)]
     previous = value
@@ -358,6 +378,6 @@ def encode(model, data):
             f"samples have length {data.shape[1]} but the model was trained on "
             f"length {model.data_dims[1]}"
         )
-    for last in _walk(data, model.transforms, config.beta, features=True):
+    for last in _walk(data, model.transforms, config.beta):
         pass
     return last.reshape(data.shape[0], -1)

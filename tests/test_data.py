@@ -1,6 +1,8 @@
 """Dataset parsing, splitting, normalization, synthesis, CSV writing."""
 
 import csv
+import os
+import threading
 import tracemalloc
 
 import numpy as np
@@ -20,6 +22,7 @@ from dctl.data import (
     write_csv,
 )
 from dctl.evaluation import accuracy, adjusted_rand_index, kmeans, knn_classify
+from test_properties import CSV_CASES, assert_csv_matches_reference
 
 
 # ----------------------------------------------------------------- csv files
@@ -201,6 +204,176 @@ def test_csv_field_over_the_size_limit_names_its_record(tmp_path):
     assert str(path) in message
     assert "row 3" in message
     assert "field limit" in message
+
+
+# ------------------------------------------------------ csv in row chunks
+
+
+CORES = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids of the children os.fork starts from this process."""
+    pids = []
+    fork = os.fork
+
+    def counted():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted)
+    return pids
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def one_process_csv(monkeypatch, path, *args, **kwargs):
+    """The bytes write_csv writes and the bits load_matrix reads in one process."""
+    with monkeypatch.context() as patch:
+        patch.setattr(dctl.data, "CSV_MIN_CHUNK_BYTES", 2**62)
+        write_csv(path, *args, **kwargs)
+        return path.read_bytes(), load_matrix(path).tobytes()
+
+
+@pytest.mark.parametrize("labeled", [False, True])
+@pytest.mark.parametrize("header", [False, True])
+@pytest.mark.parametrize("share, extra, chunks", [(2, 1, 1), (2, 0, 2), (3, 0, 3)])
+def test_csv_chunks_write_the_bytes_and_read_the_bits_of_one_process(
+        tmp_path, monkeypatch, forks, labeled, header, share, extra, chunks):
+    # the constant is set so that the text falls just short of two chunks,
+    # makes exactly two, or three; each side counts its own text: write_csv
+    # its first row times the row count, load_matrix the bytes after the header
+    rng = np.random.default_rng(26)
+    features = rng.standard_normal((41, 7))
+    features[rng.random(features.shape) < 0.3] = 0.0
+    labels = rng.integers(0, 5, size=41) if labeled else None
+    text, bits = one_process_csv(monkeypatch, tmp_path / "one.csv", features, labels,
+                                 header=header)
+    expected_forks = min(chunks, CORES) - 1
+    first_row = text.split(b"\r\n")[int(header)] + b"\r\n"
+    path = tmp_path / "chunked.csv"
+    monkeypatch.setattr(dctl.data, "CSV_MIN_CHUNK_BYTES",
+                        len(first_row) * 41 // share + extra)
+    write_csv(path, features, labels, header=header)
+    assert path.read_bytes() == text
+    assert len(forks) == expected_forks
+    assert_no_child_left()
+    rows = len(text) - (text.index(b"\n") + 1 if header else 0)
+    monkeypatch.setattr(dctl.data, "CSV_MIN_CHUNK_BYTES", rows // share + extra)
+    assert load_matrix(path).tobytes() == bits
+    assert len(forks) == 2 * expected_forks
+    assert_no_child_left()
+
+
+GOOD_ROWS = "1.5,-2\n" * 40
+
+
+@pytest.mark.parametrize("text", CSV_CASES)
+def test_csv_chunk_read_matches_row_wise_reference(tmp_path, monkeypatch, forks, text):
+    # every case lands in the last chunk, a child's, behind good rows
+    monkeypatch.setattr(dctl.data, "CSV_MIN_CHUNK_BYTES", 64)
+    assert_csv_matches_reference(tmp_path / "case.csv", GOOD_ROWS + text)
+    assert len(forks) == min(CORES, len((GOOD_ROWS + text).encode()) // 64) - 1
+    assert_no_child_left()
+
+
+def test_csv_quoted_field_across_a_cut_matches_row_wise_reference(tmp_path, monkeypatch,
+                                                                  forks):
+    # two chunks cut just past the first "\n" at or after the middle byte,
+    # which is the one inside the quoted field
+    text = "1,2\n" * 30 + '"1\n2",3\n' + "1,2\n" * 28
+    path = tmp_path / "quoted.csv"
+    path.write_text(text)
+    with open(path, "rb") as handle:
+        cut = dctl.data._line_cuts(handle.fileno(), 0, len(text), 2)[1]
+    assert text[:cut].endswith('"1\n')
+    monkeypatch.setattr(dctl.data, "CSV_MIN_CHUNK_BYTES", len(text) // 2)
+    with pytest.raises(DatasetFormatError, match="row 31, column 1: could not parse"):
+        load_matrix(path)
+    assert_csv_matches_reference(path, text)
+    assert len(forks) == 2 * (min(CORES, 2) - 1)
+    assert_no_child_left()
+
+
+def test_csv_chunk_whose_process_dies_is_read_again_or_named(tmp_path, monkeypatch):
+    # a child that ends before sending its chunk: the reader reads the
+    # file in one process, and the writer names the rows it lost
+    rng = np.random.default_rng(27)
+    features = rng.standard_normal((30, 6))
+    text, bits = one_process_csv(monkeypatch, tmp_path / "one.csv", features)
+    fork = os.fork
+
+    def dying():
+        pid = fork()
+        if pid == 0:
+            os._exit(1)
+        return pid
+
+    monkeypatch.setattr(os, "fork", dying)
+    monkeypatch.setattr(dctl.data, "CSV_MIN_CHUNK_BYTES", 64)
+    assert load_matrix(tmp_path / "one.csv").tobytes() == bits
+    assert_no_child_left()
+    if CORES > 1:
+        with pytest.raises(ChildProcessError, match=r"rows \d+ to \d+ ended before"):
+            write_csv(tmp_path / "lost.csv", features)
+        assert_no_child_left()
+
+
+def test_csv_with_a_second_thread_alive_stays_in_one_process(tmp_path, monkeypatch):
+    # a forked child would hold only the calling thread
+    rng = np.random.default_rng(28)
+    features = rng.standard_normal((30, 6))
+    text, bits = one_process_csv(monkeypatch, tmp_path / "one.csv", features, header=True)
+
+    def refuse():
+        raise AssertionError("os.fork was called")
+
+    monkeypatch.setattr(os, "fork", refuse)
+    monkeypatch.setattr(dctl.data, "CSV_MIN_CHUNK_BYTES", 64)
+    stop = threading.Event()
+    other = threading.Thread(target=stop.wait, args=(30,))
+    other.start()
+    try:
+        path = tmp_path / "threaded.csv"
+        write_csv(path, features, header=True)
+        assert path.read_bytes() == text
+        assert load_matrix(path).tobytes() == bits
+    finally:
+        stop.set()
+        other.join(timeout=30)
+    assert not other.is_alive()
+
+
+def test_csv_write_peaks_at_a_few_rows_of_text(tmp_path, monkeypatch, forks):
+    # each child formats its chunk in its own memory; from the moment the
+    # file opens (after the input checks) this process holds the header, a
+    # row and the copy buffer, about 14 rows of text here, never a chunk
+    rng = np.random.default_rng(29)
+    features = rng.standard_normal((500, 1024))
+    path = tmp_path / "wide.csv"
+
+    def opened(file, *args, **kwargs):
+        if file == path:
+            tracemalloc.reset_peak()
+        return open(file, *args, **kwargs)
+
+    monkeypatch.setattr(dctl.data, "open", opened, raising=False)
+    tracemalloc.start()
+    try:
+        write_csv(path, features, labels=rng.integers(0, 4, size=500), header=True)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    row_text = path.stat().st_size / 500
+    assert peak < 32 * row_text
+    assert forks or CORES == 1
+    assert_no_child_left()
 
 
 def test_unknown_format_rejected(tmp_path):

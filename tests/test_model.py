@@ -14,12 +14,14 @@ from dctl.model import (
     TrainedModel,
     TrainingError,
     _forward,
+    _init_state,
     _layer_terms,
     _objective_sum,
     encode,
     init_model,
     train,
 )
+import dctl.data
 import dctl.prox
 from dctl.prox import (
     NumericalConditioningError,
@@ -302,7 +304,7 @@ def test_train_on_unnormalized_data_far_from_unit_scale():
 def test_train_trace_equals_full_objective_bitwise():
     # train keeps the objective as cached per-layer terms; each trace entry
     # must equal a full recomputation on the state it was recorded for.
-    # train mutates the lists init_model returns, so a snapshot before each
+    # train mutates the lists _init_state returns, so a snapshot before each
     # bank update is the state after the previous layer update.  The copies
     # keep each array's memory layout, which einsum's summation order follows.
     signals, _ = generate_synthetic(2, 4, 16, seed=12)
@@ -312,14 +314,15 @@ def test_train_trace_equals_full_objective_bitwise():
         state, snapshots = [], []
 
         def init(*args, **kwargs):
-            state[:] = init_model(*args, **kwargs)
-            return state
+            transforms, coeffs, fits = _init_state(*args, **kwargs)
+            state[:] = transforms, coeffs
+            return transforms, coeffs, fits
 
         def bank_step(inputs):
             snapshots.append([[x.copy(order="K") for x in part] for part in state])
             return update_transform(inputs)
 
-        with mock.patch("dctl.model.init_model", side_effect=init), \
+        with mock.patch("dctl.model._init_state", side_effect=init), \
                 mock.patch("dctl.model.update_transform", side_effect=bank_step):
             model = train(signals, config)
         snapshots.append([[x.copy(order="K") for x in part] for part in state])
@@ -327,6 +330,20 @@ def test_train_trace_equals_full_objective_bitwise():
         for (transforms, coeffs), entry in zip(snapshots, model.training_trace):
             terms = _layer_terms(signals, transforms, coeffs, config)
             assert entry[2] == float(_objective_sum(*terms, config.beta))
+
+
+def test_train_checks_its_data_once_and_repeats_no_forward_pass():
+    # one as_matrix pass over the data; the initial fits come from the init
+    # walk's responses, so L passes there and 2L - 1 per outer iteration
+    signals, _ = generate_synthetic(2, 4, 16, seed=14)
+    config = ModelConfig(num_layers=3, num_kernels=4, max_outer_iters=1,
+                         objective_tol=0.0, seed=14)
+    with mock.patch("dctl.model.as_matrix", side_effect=dctl.data.as_matrix) as check, \
+            mock.patch("dctl.model.channelwise_forward",
+                       side_effect=channelwise_forward) as forward:
+        train(signals, config)
+    assert [call.args[1] for call in check.call_args_list] == ["data"]
+    assert forward.call_count == 3 + (2 * 3 - 1)
 
 
 def test_train_guard_names_transform_step_that_raised_objective():
