@@ -467,11 +467,18 @@ def as_int(value, name, minimum):
 
 def as_matrix(values, name):
     """``values`` as a float64 (M, N) array with M, N >= 1 and every entry
-    finite, or a ValueError naming ``name``."""
+    finite, or a ValueError naming ``name``.
+
+    A finite sum proves every entry finite, since NaN and ±inf propagate
+    through addition, and takes no temporary; only a sum that is not
+    finite (a bad entry, or finite entries that overflow) pays for the
+    (M, N) mask of the entrywise check."""
     values = np.asarray(values, dtype=np.float64)
     if values.ndim != 2 or 0 in values.shape:
         raise ValueError(f"{name} must be a non-empty 2-D array, got shape {values.shape}")
-    if not np.isfinite(values).all():
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = values.sum()
+    if not np.isfinite(total) and not np.isfinite(values).all():
         raise ValueError(f"{name} contain non-finite values")
     return values
 

@@ -2,6 +2,18 @@
 
 Everything here is deterministic given the stated seed and breaks ties by
 the smallest index, so repeated runs reproduce bit-identical results.
+
+Every matrix product here goes through ``scipy.linalg.blas`` (``dgemm``,
+``dgemv``, ``dger``, ``dsyrk``), never numpy's ``@``.  numpy and scipy
+wheels each bundle their own OpenBLAS (``numpy.libs/libscipy_openblas64_*``
+and ``scipy.libs/libscipy_openblas-*``), each with its own thread pool,
+and both pools running large products costs time and memory: on 2 cores
+a numpy (2000 x 1024)·(1024 x 4) product took 1.8 ms after numpy work
+but 4.7 ms right after a scipy BLAS call, and the benchmark's
+``features-io`` workload peaked about 6 MB higher with two OpenBLAS
+threads than with one.  The products are handed transposed views (a
+C-ordered matrix is a Fortran-ordered transpose), so f2py copies no
+operand.
 """
 
 import time
@@ -9,7 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import eigh
-from scipy.linalg.blas import dger, dsyrk
+from scipy.linalg.blas import dgemm, dgemv, dger, dsyrk
+from scipy.sparse import csr_array
 from scipy.spatial.distance import cdist
 
 from .data import as_int, as_labels, as_matrix
@@ -43,7 +56,7 @@ def _candidates(train, train_sq, test, k):
     dims = train.shape[1]
     with np.errstate(over="ignore", invalid="ignore"):
         test_sq = np.einsum("ij,ij->i", test, test)
-        estimate = test @ train.T
+        estimate = dgemm(1.0, train.T, test.T, trans_a=1).T  # test @ train.T
         estimate *= -2.0
         slack = test_sq[:, None] + train_sq
         estimate += slack
@@ -125,15 +138,38 @@ def knn_classify(train_features, train_labels, test_features, k):
     return classes[out]
 
 
+def _class_means(x, codes, n_classes):
+    """(n_classes, d) means of the rows of ``x`` with each code in
+    ``range(n_classes)``, each class non-empty, with the bits of
+    ``x[codes == c].mean(axis=0)`` and no copy of any class's rows.
+
+    ``members`` is a CSR matrix of ones whose row c lists class c's rows
+    in ascending order, and scipy's CSR product adds them in that order
+    into a zeroed row, as numpy's mean adds a class's rows into its sum,
+    signed zeros included; the sums are then divided by the counts.
+    """
+    counts = np.bincount(codes, minlength=n_classes)
+    indptr = np.zeros(n_classes + 1, dtype=np.intp)
+    np.cumsum(counts, out=indptr[1:])
+    members = csr_array((np.ones(len(codes)), np.argsort(codes, kind="stable"), indptr),
+                        shape=(n_classes, len(codes)))
+    return (members @ x) / counts[:, None]
+
+
 def nearest_centroid_classify(train_features, train_labels, test_features):
-    """Assign each test row the label of the nearest class mean."""
+    """Assign each test row the label of the nearest class mean.
+
+    The class means come from :func:`_class_means`, so beyond its inputs
+    the classifier holds the means and the (test rows, classes) distances,
+    never a copy of a class's training rows.
+    """
     train = as_matrix(train_features, "train_features")
     labels = as_labels(train_labels, train.shape[0], "train_labels")
     test = as_matrix(test_features, "test_features")
     if test.shape[1] != train.shape[1]:
         raise ValueError("train and test feature dimensions differ")
-    classes = np.unique(labels)
-    centroids = np.stack([train[labels == c].mean(axis=0) for c in classes])
+    classes, codes = np.unique(labels, return_inverse=True)
+    centroids = _class_means(train, codes, len(classes))
     nearest = cdist(test, centroids).argmin(axis=1)
     return classes[nearest]
 
@@ -271,7 +307,7 @@ def _pca_basis(x, mean, rank):
     evecs = evecs[:, evals > evals[0] * max(m, d) * np.finfo(np.float64).eps]
     if d <= m:
         return evecs.T
-    basis = evecs.T @ x
+    basis = dgemm(1.0, x.T, evecs).T  # evecs.T @ x
     basis -= np.outer(evecs.sum(axis=0), mean)
     basis /= np.linalg.norm(basis, axis=1, keepdims=True)
     return basis
@@ -282,13 +318,19 @@ def _seed_pca(x, n_clusters, rng):
         return _seed_kmeanspp(x, 1, rng)
     mean = x.mean(axis=0)
     basis = _pca_basis(x, mean, n_clusters - 1)
-    # (x - mean)·basisᵀ as one product with x, rounded relative to x: one
-    # small product per centered block paid a BLAS thread hand-off each,
-    # 120 ms against 6 ms at 2,000 x 1,024 on 2 cores
-    scores = x @ basis.T
-    scores -= mean @ basis.T
+    # (x - mean)·basisᵀ as one product with x, rounded relative to x.  One
+    # small product per centered block once took 120 ms against 6 ms at
+    # 2,000 x 1,024 on 2 cores: a two-thread OpenBLAS call waits for a busy
+    # core, and a (128 x 1,024)·(1,024 x 9) product took 0.08 ms on an idle
+    # host but 10 ms beside another busy process.  x is the packed operand:
+    # packing its transpose as the wide one gives the same bits, but raised
+    # the features-io peak by 4.6 MB with two BLAS threads
+    scores = dgemm(1.0, x.T, basis.T, trans_a=1)  # x @ basis.T, Fortran-ordered
+    # for a vector numpy's ``@`` runs dgemv on the transpose, as here; a
+    # one-column dgemm rounds differently and moves the seeds' last bits
+    scores -= dgemv(1.0, basis.T, mean, trans=1)  # mean @ basis.T
     seeds = _seed_kmeanspp(scores, n_clusters, rng)
-    return mean + seeds @ basis
+    return mean + dgemm(1.0, basis.T, seeds.T).T  # seeds @ basis
 
 
 def kmeans(features, n_clusters, init="kmeanspp", seed=0):
@@ -304,9 +346,13 @@ def kmeans(features, n_clusters, init="kmeanspp", seed=0):
     from centered blocks, so the seeding needs the Gram plus one block of
     at most about an eighth of it, and no centered copy of the features.
     A cluster that empties is re-seeded at the point farthest from its
-    assigned centroid (deterministic).  Iterates until the largest centroid shift drops
-    below the fixed ``KMEANS_TOL`` (1e-6) or ``KMEANS_MAX_ITERS`` (300)
-    passes; the recorded inertia trace never increases.
+    assigned centroid (deterministic).  Each update takes the cluster
+    means with :func:`_class_means`, so the random and kmeans++ seedings
+    and every Lloyd pass hold the centroids and the (rows, clusters)
+    distances beyond the features, never a copy of a cluster's rows.
+    Iterates until the largest centroid shift drops below the fixed
+    ``KMEANS_TOL`` (1e-6) or ``KMEANS_MAX_ITERS`` (300) passes; the
+    recorded inertia trace never increases.
     """
     x = as_matrix(features, "features")
     m = x.shape[0]
@@ -340,9 +386,7 @@ def kmeans(features, n_clusters, init="kmeanspp", seed=0):
     for _ in range(KMEANS_MAX_ITERS):
         labels, inertia = assign(centroids)
         trace.append(inertia)
-        updated = centroids.copy()
-        for c in range(n_clusters):
-            updated[c] = x[labels == c].mean(axis=0)
+        updated = _class_means(x, labels, n_clusters)
         shift = float(np.linalg.norm(updated - centroids, axis=1).max())
         centroids = updated
         if shift < KMEANS_TOL:

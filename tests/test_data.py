@@ -4,6 +4,7 @@ import csv
 import os
 import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -651,6 +652,29 @@ def test_write_csv_validation(tmp_path):
         with pytest.raises(ValueError, match="^features contain non-finite values"):
             write_csv(path, [[1.0, bad]])
     assert not path.exists()
+
+
+def test_as_matrix_checks_finiteness_without_a_full_size_mask():
+    # the message is the entrywise check's, whatever the bad entries sum to
+    for bad in ([np.nan], [np.inf], [-np.inf], [np.inf, -np.inf]):
+        values = np.ones((3, 4))
+        values[1, :len(bad)] = bad
+        with pytest.raises(ValueError, match="^x contain non-finite values$"):
+            dctl.data.as_matrix(values, "x")
+    # finite entries whose sum overflows are finite, and warn of nothing
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        big = dctl.data.as_matrix(np.full((4, 4), 1e308), "x")
+    assert np.array_equal(big, np.full((4, 4), 1e308))
+    # a finite sum needs no (M, N) boolean mask, 500 KiB here
+    values = np.random.default_rng(24).standard_normal((500, 1024))
+    tracemalloc.start()
+    try:
+        dctl.data.as_matrix(values, "x")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
 
 
 def test_as_labels_refuses_unsigned_labels_no_int64_holds():

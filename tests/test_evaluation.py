@@ -9,6 +9,7 @@ import pytest
 import dctl.evaluation
 from dctl.evaluation import (
     KMEANS_INITS,
+    _class_means,
     _nearest,
     _pca_basis,
     _seed_kmeanspp,
@@ -202,6 +203,48 @@ def test_nearest_centroid_separated_blobs():
     test_points, test_labels = separated_blobs(seed=4)
     pred = nearest_centroid_classify(points, labels, test_points)
     assert accuracy(test_labels, pred) == 1.0
+
+
+def test_class_means_match_masked_means_bitwise():
+    # a one-row class, and -0.0 entries whose sums keep or lose their sign
+    rng = np.random.default_rng(20)
+    x = rng.standard_normal((60, 7))
+    x[:, 2] = -0.0
+    x[::3, 4] = -0.0
+    codes = rng.integers(0, 3, size=60)
+    codes[17] = 3
+    expected = np.stack([x[codes == c].mean(axis=0) for c in range(4)])
+    assert _class_means(x, codes, 4).tobytes() == expected.tobytes()
+
+
+def big_blobs():
+    # (2000, 1024) features in 4 well-separated clusters
+    rng = np.random.default_rng(21)
+    centers = 3.0 * rng.standard_normal((4, 1024))
+    return make_blobs(500, centers, 1.0, seed=22)
+
+
+def traced_peak(operation, *args, **kwargs):
+    tracemalloc.start()
+    try:
+        operation(*args, **kwargs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
+
+
+@pytest.mark.parametrize("init", ["random", "kmeanspp"])
+def test_kmeans_holds_no_copy_of_a_cluster(init):
+    # a masked copy of each cluster's rows, or a finiteness mask of the
+    # features, would each take an eighth of the features or more
+    x, _ = big_blobs()
+    assert traced_peak(kmeans, x, 4, init=init, seed=0) < x.nbytes / 16
+
+
+def test_nearest_centroid_holds_no_copy_of_a_class():
+    x, labels = big_blobs()
+    assert traced_peak(nearest_centroid_classify, x, labels, x) < x.nbytes / 16
 
 
 def test_nearest_centroid_keeps_label_values():

@@ -15,8 +15,11 @@ from dctl.model import (
     TrainingError,
     _forward,
     _init_state,
+    _encode_rows,
     _layer_terms,
     _objective_sum,
+    _walk,
+    ENCODE_BLOCK_BYTES,
     encode,
     init_model,
     train,
@@ -540,6 +543,45 @@ def test_encode_features_are_one_c_contiguous_matrix():
         assert features.flags.c_contiguous
         expected = np.maximum(toeplitz_stack(signals, 4), 0.0)
         assert np.array_equal(features, expected.reshape(6, -1))
+
+
+def random_model(layers, k, n, seed):
+    rng = np.random.default_rng(seed)
+    banks = [np.eye(k) + 0.3 * rng.standard_normal((k, k)) for _ in range(layers)]
+    config = ModelConfig(num_layers=layers, num_kernels=k, beta=0.05)
+    return TrainedModel(transforms=banks, config=config,
+                        training_trace=[(0, 0, 0.0)], data_dims=(1, n))
+
+
+@pytest.mark.parametrize("n, k, layers", [(128, 8, 3), (1024, 8, 2)])
+def test_encode_blocks_match_one_walk_over_every_row_bitwise(n, k, layers):
+    # each row's features depend on that row alone, so no block boundary,
+    # short last block or one-row block may move a bit
+    model = random_model(layers, k, n, seed=56)
+    rows = ENCODE_BLOCK_BYTES // (n * k * 8)
+    rng = np.random.default_rng(57)
+    # 8 * rows + 1 is the first M whose blocks are full-size, with one row left
+    for m in (1, rows - 1, rows, rows + 1, 2 * rows + 1, 8 * rows + 1):
+        data = rng.standard_normal((m, n))
+        features = encode(model, data)
+        one_walk = _walk(data, model.transforms, model.config.beta).reshape(m, -1)
+        assert features.shape == (m, n * k)
+        assert features.flags.c_contiguous
+        assert features.tobytes() == one_walk.tobytes()
+    assert _encode_rows(8 * rows + 1, n, k) == rows
+
+
+def test_encode_holds_the_result_and_at_most_two_blocks():
+    # one walk over every row held the result and a second full stack
+    data = np.random.default_rng(58).standard_normal((2000, 128))
+    model = random_model(3, 8, 128, seed=59)
+    tracemalloc.start()
+    try:
+        features = encode(model, data)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * features.nbytes
 
 
 def test_encode_rejects_wrong_length_and_type():
